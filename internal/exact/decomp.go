@@ -14,7 +14,10 @@ package exact
 // storage is packed to 12 bytes per scalar: the two 32-bit delta magnitudes
 // share a word, and the base limb, sign and the ≤21-bit top delta share
 // another. Scalar index is implied by position — zeros and slow-path shapes
-// hold a zeroed slot so the layout stays dense.
+// hold a zero-delta slot so the layout stays dense. A zero slot still names
+// a base limb, and replay writes its three limbs, so it borrows the base limb
+// of a normal slot: every plane replay touches is inside the decomposition's
+// window, which AddDecomp allocates before its loop.
 
 import (
 	"math"
@@ -60,13 +63,19 @@ func (d *Decomp) From(w, a, c float64, x []float64) {
 	d.slow = d.slow[:0]
 	d.slowB = d.slowB[:0]
 	lo, hi := limbsPerAcc, 0
+	// fill is the base limb zero slots borrow: the first normal slot's, or
+	// -1 while none has been seen (zero slots before it are patched below).
+	fill, lead := -1, 0
 	for i, xi := range x {
 		t := a*xi + c
 		b := math.Float64bits(w * t)
 		exp := int(b>>52) & 0x7FF
 		if uint(exp-1) >= 0x7FE {
 			d.lohi[i] = 0
-			d.meta[i] = 0
+			d.meta[i] = uint32(max(fill, 0))
+			if fill < 0 {
+				lead = i + 1
+			}
 			if b<<1 != 0 {
 				d.slow = append(d.slow, int32(i))
 				d.slowB = append(d.slowB, b)
@@ -83,11 +92,19 @@ func (d *Decomp) From(w, a, c float64, x []float64) {
 		}
 		d.lohi[i] = low
 		d.meta[i] = m
+		if fill < 0 {
+			fill = limb
+		}
 		if limb < lo {
 			lo = limb
 		}
 		if limb+3 > hi {
 			hi = limb + 3
+		}
+	}
+	if fill > 0 {
+		for i := range d.meta[:lead] {
+			d.meta[i] = uint32(fill)
 		}
 	}
 	d.lo, d.hi = lo, hi
@@ -100,30 +117,33 @@ func (d *Decomp) From(w, a, c float64, x []float64) {
 func (v *Vec) AddDecomp(d *Decomp) {
 	v.checkDim(d.dim)
 	v.bumpAdds(1)
-	dim := v.dim
-	limbs := v.limbs
-	lohi := d.lohi
-	for i, m := range d.meta {
-		lh := lohi[i]
-		base := int(m&decompLimbMask)*dim + i
-		d0 := int64(lh & limbMask)
-		d1 := int64(lh >> limbBits)
-		d2 := int64(m >> decompTopShift)
-		if m&decompSignBit != 0 {
-			d0, d1, d2 = -d0, -d1, -d2
-		}
-		// Loads before stores — see AddScaled for the 4K-aliasing rationale.
-		s0 := limbs[base] + d0
-		s1 := limbs[base+dim] + d1
-		s2 := limbs[base+2*dim] + d2
-		limbs[base] = s0
-		limbs[base+dim] = s1
-		limbs[base+2*dim] = s2
-	}
 	if d.lo < d.hi {
-		v.growWindow(d.lo, d.hi)
+		// Widen before the loop, so the loop itself only adds. Slots name
+		// absolute base limbs; the slab starts at plane v.base.
+		v.widen(d.lo, d.hi)
+		dim := v.dim
+		limbs, off := v.planes, v.base*dim
+		lohi := d.lohi
+		for i, m := range d.meta {
+			lh := lohi[i]
+			base := int(m&decompLimbMask)*dim - off + i
+			d0 := int64(lh & limbMask)
+			d1 := int64(lh >> limbBits)
+			d2 := int64(m >> decompTopShift)
+			if m&decompSignBit != 0 {
+				d0, d1, d2 = -d0, -d1, -d2
+			}
+			// Loads before stores — see scaledRun for the 4K-aliasing
+			// rationale.
+			s0 := limbs[base] + d0
+			s1 := limbs[base+dim] + d1
+			s2 := limbs[base+2*dim] + d2
+			limbs[base] = s0
+			limbs[base+dim] = s1
+			limbs[base+2*dim] = s2
+		}
 	}
 	for k, i := range d.slow {
-		v.addSlow(int(i), d.slowB[k])
+		v.addBits(int(i), d.slowB[k])
 	}
 }

@@ -28,11 +28,14 @@
 // long before that bound.
 //
 // Storage is plane-major: limb plane k of every scalar is contiguous
-// (limbs[k·dim+i] holds scalar i's limb k). Well-scaled workloads touch a
-// narrow limb window, so the planes an Add writes, a Reset clears, and a
-// Serialize/Absorb/AddVec walks are a handful of contiguous runs — the
+// (plane k holds limb k of scalar 0, 1, …, dim-1). Well-scaled workloads
+// touch a narrow limb window, so the planes an Add writes, a Reset clears,
+// and a Serialize/Absorb/AddVec walks are a handful of contiguous runs — the
 // layout that lets the fleet simulator's fold hot path stream instead of
-// striding 528 bytes between scalars.
+// striding 528 bytes between scalars. Planes are allocated on first touch:
+// a Vec holds one slab covering the planes its window has reached, grown on
+// demand and kept across Reset, so an accumulator costs what its workload
+// touches (a few planes) rather than all 66 (VecBytes, the worst case).
 //
 // Specials (±Inf, NaN) cannot live in fixed point; they are tracked as
 // per-scalar sticky flags with IEEE-like semantics: NaN poisons, +Inf and
@@ -81,8 +84,12 @@ const (
 // Vec is a vector of exact accumulators, one per scalar of a parameter
 // vector. The zero Vec is not usable; construct with NewVec.
 type Vec struct {
-	dim   int
-	limbs []int64 // limbsPerAcc × dim, plane-major: limbs[k·dim+i]
+	dim int
+	// planes is the allocated slab: limb planes [base, top), plane-major,
+	// limb k of scalar i at planes[(k-base)·dim + i]. It always covers the
+	// touched window, and every plane outside the window is zero.
+	planes    []int64
+	base, top int
 	// loLimb/hiLimb bound the limb window any scalar has touched: [lo, hi).
 	// Serialization, merging and rounding only walk the window, so a
 	// well-scaled workload pays for the limbs it uses, not the full range.
@@ -96,28 +103,24 @@ type Vec struct {
 	carry []int64
 }
 
-// NewVec builds an exact accumulator for dim-scalar vectors.
+// NewVec builds an exact accumulator for dim-scalar vectors. No limb plane
+// is allocated until an addition reaches it.
 func NewVec(dim int) *Vec {
 	if dim < 0 {
 		dim = 0
 	}
-	return &Vec{
-		dim:    dim,
-		limbs:  make([]int64, dim*limbsPerAcc),
-		loLimb: limbsPerAcc,
-		hiLimb: 0,
-	}
+	return &Vec{dim: dim, loLimb: limbsPerAcc}
 }
 
 // Dim returns the vector width.
 func (v *Vec) Dim() int { return v.dim }
 
 // Reset zeroes the accumulator for reuse. Only the touched window is cleared
-// — one contiguous run in the plane-major layout — so resetting a fresh or
-// well-scaled accumulator is cheap.
+// — one contiguous run in the plane-major layout — and the allocated planes
+// are kept, so resetting a fresh or well-scaled accumulator is cheap.
 func (v *Vec) Reset() {
 	if v.loLimb < v.hiLimb {
-		clear(v.limbs[v.loLimb*v.dim : v.hiLimb*v.dim])
+		clear(v.slab(v.loLimb, v.hiLimb))
 	}
 	v.loLimb, v.hiLimb = limbsPerAcc, 0
 	v.adds = 0
@@ -126,6 +129,11 @@ func (v *Vec) Reset() {
 
 // Window returns the touched limb window [lo, hi); lo ≥ hi means untouched.
 func (v *Vec) Window() (lo, hi int) { return v.loLimb, v.hiLimb }
+
+// slab returns the storage of allocated planes [lo, hi).
+func (v *Vec) slab(lo, hi int) []int64 {
+	return v.planes[(lo-v.base)*v.dim : (hi-v.base)*v.dim]
+}
 
 // special returns the flag byte for scalar i.
 func (v *Vec) special(i int) uint8 {
@@ -146,19 +154,33 @@ func (v *Vec) orSpecial(i int, f uint8) {
 	v.specials[i] |= f
 }
 
-// growWindow widens the touched window to include limbs [lo, hi).
-func (v *Vec) growWindow(lo, hi int) {
-	if lo < v.loLimb {
-		v.loLimb = lo
+// widen grows the touched window to include limbs [lo, hi), first
+// allocating any plane the window reaches for the first time. The add loops
+// never call it: they stop at the first product outside the window, so
+// growth (and its reallocation) stays out of the hot path.
+func (v *Vec) widen(lo, hi int) {
+	lo = min(lo, v.loLimb)
+	hi = max(hi, v.hiLimb)
+	if lo < v.base || hi > v.top {
+		if v.top > v.base {
+			lo, hi := min(lo, v.base), max(hi, v.top)
+			planes := make([]int64, (hi-lo)*v.dim)
+			copy(planes[(v.base-lo)*v.dim:], v.planes)
+			v.planes, v.base, v.top = planes, lo, hi
+		} else {
+			v.planes, v.base, v.top = make([]int64, (hi-lo)*v.dim), lo, hi
+		}
 	}
-	if hi > v.hiLimb {
-		v.hiLimb = hi
-	}
+	v.loLimb, v.hiLimb = lo, hi
 }
 
-// addSlow handles the shapes the inlined Add/AddScaled fast path punts on:
-// specials and subnormals. b is the raw float64 bit pattern, known nonzero.
-func (v *Vec) addSlow(i int, b uint64) {
+// addBits adds the float64 with bit pattern b into scalar i — the general
+// path behind the inlined add loops: specials, subnormals and products that
+// widen the window. ±0 adds nothing and touches no plane.
+func (v *Vec) addBits(i int, b uint64) {
+	if b<<1 == 0 {
+		return
+	}
 	exp := int(b>>52) & 0x7FF
 	frac := b & (1<<52 - 1)
 	if exp == 0x7FF {
@@ -172,17 +194,28 @@ func (v *Vec) addSlow(i int, b uint64) {
 		}
 		return
 	}
-	// Subnormal: same scale as exponent 1, no implicit bit — the significand
-	// lands at bit 0, spanning limb planes 0 and 1.
-	dim := v.dim
-	if b>>63 != 0 {
-		v.limbs[i] -= int64(frac & limbMask)
-		v.limbs[dim+i] -= int64(frac >> limbBits)
+	if exp == 0 {
+		// Subnormal: same scale as exponent 1, no implicit bit — the
+		// significand lands at bit 0, spanning limb planes 0 and 1.
+		exp = 1
 	} else {
-		v.limbs[i] += int64(frac & limbMask)
-		v.limbs[dim+i] += int64(frac >> limbBits)
+		frac |= 1 << 52
 	}
-	v.growWindow(0, 3)
+	pos := exp - 1
+	limb := pos >> 5
+	high, low := bits.Mul64(frac, pow2[pos&31])
+	v.widen(limb, limb+3)
+	p := v.slab(limb, limb+3)
+	dim := v.dim
+	if int64(b) < 0 {
+		p[i] -= int64(low & limbMask)
+		p[dim+i] -= int64(low >> limbBits)
+		p[2*dim+i] -= int64(high)
+	} else {
+		p[i] += int64(low & limbMask)
+		p[dim+i] += int64(low >> limbBits)
+		p[2*dim+i] += int64(high)
+	}
 }
 
 // bumpAdds charges n additions against the carry slack, renormalizing first
@@ -205,44 +238,54 @@ func (v *Vec) Add(x []float64) {
 // AddScaled adds w·x[i] into scalar i for every i. The product is rounded
 // once by the ordinary float64 multiply — the same rounding every aggregation
 // path performs — and then accumulated exactly.
-//
-// This is the fold hot path: the normal-value decomposition is inlined, the
-// three limb writes of scalar i land dim words apart (adjacent planes), and
-// the window bound is tracked in locals flushed once per call.
 func (v *Vec) AddScaled(w float64, x []float64) {
 	v.checkDim(len(x))
 	v.bumpAdds(1)
-	dim := v.dim
-	limbs := v.limbs
+	for i := v.scaledRun(w, x, 0); i < len(x); i = v.scaledRun(w, x, i+1) {
+		v.addBits(i, math.Float64bits(w*x[i]))
+	}
+}
+
+// scaledRun is the fold hot path: it adds w·x[i] for i = from, from+1, …
+// and returns the index of the first product it cannot place — a special, a
+// subnormal, or a normal value whose limbs reach outside the touched window
+// (len(x) when none). The loop makes no calls and tracks no window bounds:
+// the decomposition is inlined, the three limb writes of scalar i land dim
+// words apart (adjacent planes), and one unsigned compare keeps them inside
+// the window.
+func (v *Vec) scaledRun(w float64, x []float64, from int) int {
 	lo, hi := v.loLimb, v.hiLimb
-	for i, xi := range x {
-		b := math.Float64bits(w * xi)
+	if hi-lo < 3 {
+		return from
+	}
+	span := uint(hi - 3 - lo)
+	dim := v.dim
+	p := v.planes[(lo-v.base)*dim:]
+	for i := from; i < len(x); i++ {
+		b := math.Float64bits(w * x[i])
 		exp := int(b>>52) & 0x7FF
 		if uint(exp-1) >= 0x7FE { // subnormal, zero or special
 			if b<<1 == 0 {
 				continue // ±0 contributes nothing
 			}
-			// Flush the window locals so the slow path composes, then
-			// reload — it may have widened the window.
-			v.growWindow(lo, hi)
-			v.addSlow(i, b)
-			lo, hi = v.loLimb, v.hiLimb
-			continue
+			return i
 		}
-		frac := b&(1<<52-1) | 1<<52
 		// Value = frac · 2^(exp-1075); its least significant bit sits at
 		// accumulator bit pos = (exp-1075) + bias = exp - 1. The widening
 		// multiply by 2^(pos mod 32) is the 85-bit shift-and-split in one
 		// µop — no variable shifts, no shift-amount branches.
 		pos := exp - 1
-		limb := pos >> 5
-		high, low := bits.Mul64(frac, pow2[pos&31])
-		base := limb*dim + i
+		rel := pos>>5 - lo
+		if uint(rel) > span {
+			return i
+		}
+		high, low := bits.Mul64(b&(1<<52-1)|1<<52, pow2[pos&31])
+		base := rel*dim + i
 		// All three loads issue before any store: with power-of-two dims the
 		// first store and the plane+2 load sit exactly 2·8·dim bytes apart,
 		// and store-before-load ordering would trip 4K-aliasing false
 		// dependences that serialize the loop.
-		d0, d1, d2 := limbs[base], limbs[base+dim], limbs[base+2*dim]
+		d0, d1, d2 := p[base], p[base+dim], p[base+2*dim]
 		if int64(b) < 0 {
 			d0 -= int64(low & limbMask)
 			d1 -= int64(low >> limbBits)
@@ -252,17 +295,11 @@ func (v *Vec) AddScaled(w float64, x []float64) {
 			d1 += int64(low >> limbBits)
 			d2 += int64(high)
 		}
-		limbs[base] = d0
-		limbs[base+dim] = d1
-		limbs[base+2*dim] = d2
-		if limb < lo {
-			lo = limb
-		}
-		if limb+3 > hi {
-			hi = limb + 3
-		}
+		p[base] = d0
+		p[base+dim] = d1
+		p[base+2*dim] = d2
 	}
-	v.growWindow(lo, hi)
+	return len(x)
 }
 
 func (v *Vec) checkDim(n int) {
@@ -282,29 +319,39 @@ func (v *Vec) checkDim(n int) {
 func (v *Vec) AddScaledAffine(w, a, c float64, x []float64) {
 	v.checkDim(len(x))
 	v.bumpAdds(1)
-	dim := v.dim
-	limbs := v.limbs
+	for i := v.affineRun(w, a, c, x, 0); i < len(x); i = v.affineRun(w, a, c, x, i+1) {
+		v.addBits(i, math.Float64bits(w*(a*x[i]+c)))
+	}
+}
+
+// affineRun is scaledRun for the fused affine map; see there.
+func (v *Vec) affineRun(w, a, c float64, x []float64, from int) int {
 	lo, hi := v.loLimb, v.hiLimb
-	for i, xi := range x {
-		t := a*xi + c
+	if hi-lo < 3 {
+		return from
+	}
+	span := uint(hi - 3 - lo)
+	dim := v.dim
+	p := v.planes[(lo-v.base)*dim:]
+	for i := from; i < len(x); i++ {
+		t := a*x[i] + c
 		b := math.Float64bits(w * t)
 		exp := int(b>>52) & 0x7FF
 		if uint(exp-1) >= 0x7FE {
 			if b<<1 == 0 {
 				continue
 			}
-			v.growWindow(lo, hi)
-			v.addSlow(i, b)
-			lo, hi = v.loLimb, v.hiLimb
-			continue
+			return i
 		}
-		frac := b&(1<<52-1) | 1<<52
 		pos := exp - 1
-		limb := pos >> 5
-		high, low := bits.Mul64(frac, pow2[pos&31])
-		base := limb*dim + i
-		// Loads before stores — see AddScaled for the 4K-aliasing rationale.
-		d0, d1, d2 := limbs[base], limbs[base+dim], limbs[base+2*dim]
+		rel := pos>>5 - lo
+		if uint(rel) > span {
+			return i
+		}
+		high, low := bits.Mul64(b&(1<<52-1)|1<<52, pow2[pos&31])
+		base := rel*dim + i
+		// Loads before stores — see scaledRun for the 4K-aliasing rationale.
+		d0, d1, d2 := p[base], p[base+dim], p[base+2*dim]
 		if int64(b) < 0 {
 			d0 -= int64(low & limbMask)
 			d1 -= int64(low >> limbBits)
@@ -314,17 +361,11 @@ func (v *Vec) AddScaledAffine(w, a, c float64, x []float64) {
 			d1 += int64(low >> limbBits)
 			d2 += int64(high)
 		}
-		limbs[base] = d0
-		limbs[base+dim] = d1
-		limbs[base+2*dim] = d2
-		if limb < lo {
-			lo = limb
-		}
-		if limb+3 > hi {
-			hi = limb + 3
-		}
+		p[base] = d0
+		p[base+dim] = d1
+		p[base+2*dim] = d2
 	}
-	v.growWindow(lo, hi)
+	return len(x)
 }
 
 // AddVec merges o into v exactly: afterwards v holds the sum of everything
@@ -336,17 +377,12 @@ func (v *Vec) AddVec(o *Vec) error {
 	}
 	if o.loLimb < o.hiLimb {
 		// Each merged limb may carry up to o.adds' worth of magnitude.
-		charge := o.adds
-		if charge < 1 {
-			charge = 1
-		}
-		v.bumpAdds(charge)
-		src := o.limbs[o.loLimb*o.dim : o.hiLimb*o.dim]
-		dst := v.limbs[o.loLimb*v.dim : o.hiLimb*v.dim]
-		for j, d := range src {
+		v.bumpAdds(max(o.adds, 1))
+		v.widen(o.loLimb, o.hiLimb)
+		dst := v.slab(o.loLimb, o.hiLimb)
+		for j, d := range o.slab(o.loLimb, o.hiLimb) {
 			dst[j] += d
 		}
-		v.growWindow(o.loLimb, o.hiLimb)
 	}
 	if o.specials != nil {
 		for i, f := range o.specials {
@@ -368,7 +404,7 @@ func (v *Vec) AddVec(o *Vec) error {
 // chains. A residual carry out of the top processed plane is parked in the
 // next plane up, which becomes the new signed top limb — for a negative sum
 // this replaces the old sign-extension walk to the array top, and the window
-// grows by at most one plane.
+// grows by at most one plane (allocated here if the window never reached it).
 func (v *Vec) normalize() {
 	if v.loLimb >= v.hiLimb {
 		v.adds = 0
@@ -385,23 +421,22 @@ func (v *Vec) normalize() {
 		top = limbsPerAcc - 1 // the last plane stays signed; never canonicalized
 	}
 	for k := v.loLimb; k < top; k++ {
-		plane := v.limbs[k*dim : (k+1)*dim]
+		plane := v.slab(k, k+1)
 		for i, d := range plane {
 			t := d + carry[i]
 			carry[i] = t >> limbBits // arithmetic shift: floor division
 			plane[i] = t & limbMask
 		}
 	}
-	plane := v.limbs[top*dim : (top+1)*dim]
-	grew := false
-	for i, c := range carry {
+	for j, c := range carry {
 		if c != 0 {
-			plane[i] += c
-			grew = true
+			v.widen(v.loLimb, top+1)
+			plane := v.slab(top, top+1)
+			for i := j; i < dim; i++ {
+				plane[i] += carry[i]
+			}
+			break
 		}
-	}
-	if grew && top >= v.hiLimb {
-		v.hiLimb = top + 1
 	}
 	v.adds = 1
 	// The bottom of the window cannot move down, and zero limbs at the
@@ -438,11 +473,13 @@ func (v *Vec) roundScalar(i int, mag *[limbsPerAcc]uint64) float64 {
 		return 0
 	}
 	// After normalize, limbs below hi-1 are in [0, 2^32); the top limb is
-	// signed and dominates the sign.
-	neg := v.limbs[(hi-1)*dim+i] < 0
+	// signed and dominates the sign. Limb k of scalar i is at
+	// limbs[(k-lo)·dim + i].
+	limbs := v.slab(lo, hi)
+	neg := limbs[(hi-1-lo)*dim+i] < 0
 	if !neg {
 		for k := lo; k < hi; k++ {
-			mag[k] = uint64(v.limbs[k*dim+i])
+			mag[k] = uint64(limbs[(k-lo)*dim+i])
 		}
 	} else {
 		// Negate the two's-complement digit string to get the magnitude:
@@ -450,13 +487,13 @@ func (v *Vec) roundScalar(i int, mag *[limbsPerAcc]uint64) float64 {
 		// absorbing the final borrow.
 		var borrow uint64
 		for k := lo; k < hi-1; k++ {
-			d := uint64(v.limbs[k*dim+i]) // in [0, 2^32) after normalize
+			d := uint64(limbs[(k-lo)*dim+i]) // in [0, 2^32) after normalize
 			mag[k] = (0 - d - borrow) & limbMask
 			if d != 0 || borrow != 0 {
 				borrow = 1
 			}
 		}
-		mag[hi-1] = uint64(-(v.limbs[(hi-1)*dim+i] + int64(borrow)))
+		mag[hi-1] = uint64(-(limbs[(hi-1-lo)*dim+i] + int64(borrow)))
 	}
 	// Locate the most significant set bit.
 	msLimb := -1
@@ -596,8 +633,7 @@ func (v *Vec) SerializeInto(s *Serialized) {
 			s.Limbs = make([]uint64, n)
 		}
 		s.Limbs = s.Limbs[:n]
-		src := v.limbs[s.Lo*v.dim : s.Hi*v.dim]
-		for j, d := range src {
+		for j, d := range v.slab(s.Lo, s.Hi) {
 			s.Limbs[j] = uint64(d)
 		}
 	}
@@ -654,11 +690,11 @@ func (v *Vec) Absorb(s Serialized) error {
 			charge = renormAfter - 1
 		}
 		v.bumpAdds(charge)
-		dst := v.limbs[s.Lo*v.dim : s.Hi*v.dim]
+		v.widen(s.Lo, s.Hi)
+		dst := v.slab(s.Lo, s.Hi)
 		for j, l := range s.Limbs {
 			dst[j] += int64(l)
 		}
-		v.growWindow(s.Lo, s.Hi)
 	}
 	for i, f := range s.Specials {
 		v.orSpecial(i, f)
@@ -666,13 +702,13 @@ func (v *Vec) Absorb(s Serialized) error {
 	return nil
 }
 
-// MemoryBytes reports the accumulator's limb storage footprint — the quantity
-// the fleet simulator's per-node memory accounting sums.
-func (v *Vec) MemoryBytes() int64 { return int64(len(v.limbs)) * 8 }
+// MemoryBytes reports the accumulator's allocated limb storage: the planes
+// its window has reached so far, 0 for a fresh Vec.
+func (v *Vec) MemoryBytes() int64 { return int64(len(v.planes)) * 8 }
 
-// VecBytes is NewVec(dim).MemoryBytes() as a formula — the per-accumulator
-// footprint, for memory accounting that must not allocate an accumulator to
-// measure one.
+// VecBytes is the worst-case limb storage of one dim-scalar accumulator, all
+// 66 planes allocated — the per-accumulator bound memory accounting checks
+// (MemoryBytes never exceeds it).
 func VecBytes(dim int) int64 {
 	if dim < 0 {
 		dim = 0

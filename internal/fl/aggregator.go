@@ -63,7 +63,9 @@ type Aggregator interface {
 	// parameter vector, dst[dim:] the statistic contributions. jobs is the
 	// round's nominal job count W. The caller has already validated the
 	// parameter length and a positive example count. Errors are
-	// round-fatal, like the legacy validation failures.
+	// round-fatal, like the legacy validation failures. The server calls
+	// Contribute from its dispatch workers concurrently, each with its own
+	// dst, so it must not mutate strategy state.
 	Contribute(dst, global []float64, resp *RoundResponse, jobs int) error
 	// Commit derives the new global model from the rounded exact totals
 	// (same layout as Contribute's dst) and updates any server-side
@@ -338,11 +340,8 @@ func BatchAggregate(agg Aggregator, global []float64, responses []RoundResponse,
 	contrib := make([]float64, vecDim)
 	for i := range responses {
 		r := &responses[i]
-		switch {
-		case len(r.Params) != dim:
-			return nil, fmt.Errorf("fl: client %s returned %d params, want %d", r.ClientID, len(r.Params), dim)
-		case r.NumExamples <= 0:
-			return nil, fmt.Errorf("fl: client %s reports %d examples", r.ClientID, r.NumExamples)
+		if err := checkResponse(r, dim); err != nil {
+			return nil, err
 		}
 		if err := agg.Contribute(contrib, global, r, jobs); err != nil {
 			return nil, err
@@ -357,4 +356,16 @@ func BatchAggregate(agg Aggregator, global []float64, responses []RoundResponse,
 		return nil, err
 	}
 	return out, nil
+}
+
+// checkResponse is the validation every fold applies before Contribute: the
+// update must match the model's width and carry a positive example count.
+func checkResponse(r *RoundResponse, dim int) error {
+	switch {
+	case len(r.Params) != dim:
+		return fmt.Errorf("fl: client %s returned %d params, want %d", r.ClientID, len(r.Params), dim)
+	case r.NumExamples <= 0:
+		return fmt.Errorf("fl: client %s reports %d examples", r.ClientID, r.NumExamples)
+	}
+	return nil
 }

@@ -187,10 +187,11 @@ func TestChaosScriptedDropoutsMatchBatchAggregate(t *testing.T) {
 		}
 		survivors = append(survivors, resp)
 	}
-	if err := ref.aggregate(survivors); err != nil {
+	want, err := BatchAggregate(FedAvg{}, ref.GlobalParams(), survivors, 5)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bitsEqual(srv.GlobalParams(), ref.GlobalParams()) {
+	if !bitsEqual(srv.GlobalParams(), want) {
 		t.Fatal("quorum round diverged from the batch aggregate over survivors")
 	}
 	if got := tel.Registry.Counter(obs.MetricFLQuorumRounds, "").Value(); got != 1 {

@@ -405,9 +405,9 @@ func FuzzCodec(f *testing.F) {
 		}
 		frame := buf.Bytes()
 		off := auxSectionOffset(frame)
-		f.Add(frame[:off+1])          // cut after the aux flags byte
-		f.Add(frame[:off+5])          // cut inside the aux count
-		f.Add(frame[:len(frame)-1])   // aux payload one byte short
+		f.Add(frame[:off+1])        // cut after the aux flags byte
+		f.Add(frame[:off+5])        // cut inside the aux count
+		f.Add(frame[:len(frame)-1]) // aux payload one byte short
 		for _, at := range []int{4, off, off + 1, off + 9, len(frame) - 1} {
 			flipped := bytes.Clone(frame)
 			flipped[at] ^= 0x01

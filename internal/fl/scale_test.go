@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"runtime"
@@ -8,7 +9,10 @@ import (
 	"time"
 
 	"bofl/internal/core"
+	"bofl/internal/faultinject"
+	"bofl/internal/obs/ledger"
 	"bofl/internal/parallel"
+	"bofl/internal/simclock"
 )
 
 // mathParticipant is a cheap deterministic participant: its update is a pure
@@ -104,9 +108,8 @@ func TestStreamingMatchesBatchAggregate(t *testing.T) {
 		t.Fatalf("dropped = %v, want p2 (miss) and p5 (fail)", res.Dropped)
 	}
 
-	// Batch reference: the legacy aggregate over the survivors' responses in
-	// index order, from the same initial global model.
-	ref := newMathServer(t, dim, true)
+	// Batch reference: BatchAggregate(FedAvg) over the survivors' responses
+	// in index order, from the same initial global model.
 	var responses []RoundResponse
 	for _, p := range parts {
 		if p.fail || p.miss {
@@ -118,14 +121,83 @@ func TestStreamingMatchesBatchAggregate(t *testing.T) {
 			NumExamples: p.num,
 		})
 	}
-	if err := ref.aggregate(responses); err != nil {
+	want, err := BatchAggregate(FedAvg{}, initial, responses, 10)
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	got, want := srv.GlobalParams(), ref.GlobalParams()
+	got := srv.GlobalParams()
 	for i := range want {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("global[%d]: streaming %v != batch %v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestFlatFoldWidthInvariant pins the flat fold's determinism at every pool
+// width: over several chaos rounds — injected drops, crashes and straggles,
+// retries, deadline misses and a sub-unit quorum across 96 participants with
+// scrambled completion order — one, two and four workers folding into their
+// own exact partials commit bit-identical models and journal byte-identical
+// ledger JSONL.
+func TestFlatFoldWidthInvariant(t *testing.T) {
+	seed := chaosSeed(t)
+	const n, dim, rounds = 96, 65, 3
+	run := func(width int) ([]float64, []byte) {
+		prev := parallel.SetWorkers(width)
+		defer parallel.SetWorkers(prev)
+		init := make([]float64, dim)
+		for i := range init {
+			init[i] = math.Sin(float64(i + 1))
+		}
+		led := ledger.New(0)
+		srv, err := NewServer(ServerConfig{
+			InitialParams: init,
+			Jobs:          10,
+			DeadlineRatio: 2,
+			Seed:          seed,
+			Quorum:        0.6,
+			Retry:         RetryConfig{MaxAttempts: 3, Seed: seed},
+			FaultPolicy: &faultinject.Plan{Seed: seed, Default: faultinject.Profile{
+				Drop: 0.2, Crash: 0.05,
+				Straggle: 0.2, StraggleMin: time.Millisecond, StraggleMax: 50 * time.Millisecond,
+			}},
+			Clock:  simclock.NewSim(time.Unix(0, 0)),
+			Ledger: led,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			srv.Register(&mathParticipant{
+				id:    fmt.Sprintf("w%02d", i),
+				idx:   i,
+				num:   1 + i*37%61,
+				sleep: time.Duration(i%5) * 50 * time.Microsecond,
+				miss:  i%11 == 4,
+			})
+		}
+		for r := 1; r <= rounds; r++ {
+			if _, err := srv.RunRound(); err != nil {
+				t.Fatalf("width %d round %d: %v", width, r, err)
+			}
+		}
+		var buf bytes.Buffer
+		if err := led.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return srv.GlobalParams(), buf.Bytes()
+	}
+	wantModel, wantLedger := run(1)
+	if !bytes.Contains(wantLedger, []byte(`"verdict":"drop"`)) ||
+		!bytes.Contains(wantLedger, []byte(`"kind":"quorum"`)) {
+		t.Fatal("storm journaled no drops or no quorum commit")
+	}
+	for _, width := range []int{2, 4} {
+		model, journal := run(width)
+		bitwiseEqual(t, fmt.Sprintf("width %d vs 1", width), model, wantModel)
+		if !bytes.Equal(journal, wantLedger) {
+			t.Fatalf("width %d: ledger JSONL differs from width 1 (%d vs %d bytes)", width, len(journal), len(wantLedger))
 		}
 	}
 }

@@ -215,8 +215,10 @@ type ServerConfig struct {
 	// clock. Tests pass a *simclock.Sim so chaos runs in virtual time.
 	Clock simclock.Clock
 	// Ledger, when set, journals every attempt verdict, quarantine, quorum
-	// and commit/abort decision the round produces — appended in fold order
-	// under the turnstile, so replays at a fixed seed are byte-identical.
+	// and commit/abort decision the round produces. Attempts are appended in
+	// participant index order — after the fan-out on the flat path, under
+	// the tier turnstile on the tree path — so replays at a fixed seed are
+	// byte-identical.
 	Ledger *ledger.Ledger
 	// Tree, when set, shards aggregation into a hierarchy of intermediate
 	// aggregators (see tree.go). nil keeps the flat streaming fold; because
@@ -230,9 +232,10 @@ type ServerConfig struct {
 
 // Server orchestrates federated rounds: selection, deadline assignment,
 // dispatch, and pluggable aggregation. Dispatch is bounded by the shared
-// internal/parallel worker pool and updates are folded into a single reused
-// accumulator as they arrive, so a round's memory footprint is O(params) —
-// independent of the number of selected participants.
+// internal/parallel worker pool and each worker folds the updates it
+// receives into its own reused exact partial as they arrive, so a round's
+// memory footprint is O(pool width × params) — independent of the number of
+// selected participants.
 type Server struct {
 	cfg    ServerConfig
 	global []float64
@@ -253,16 +256,17 @@ type Server struct {
 
 	// agg is the aggregation strategy; never nil after NewServer.
 	agg Aggregator
-	// acc is the flat-fold exact accumulator; tree is the tier spine. Each is
-	// built on first use and reused across rounds. Both span the extended
-	// fold vector: the model dims plus the strategy's statistic slots.
-	acc  *exact.Vec
-	tree *treeFold
-	// sum is commit scratch for the rounded exact totals; contrib is the
-	// per-response contribution scratch, written and folded strictly under
-	// the turnstile.
-	sum     []float64
-	contrib []float64
+	// parts are the dispatch workers' fold parts (see foldPart), free the
+	// ones no fan-out chunk holds; tree is the tier spine. All are built on
+	// first use and reused across rounds, and their accumulators span the
+	// extended fold vector: the model dims plus the strategy's statistic
+	// slots.
+	parts  []*foldPart
+	free   []*foldPart
+	partMu sync.Mutex
+	tree   *treeFold
+	// sum is commit scratch for the rounded exact totals.
+	sum []float64
 }
 
 // SetSink installs a telemetry sink. Beyond orchestration metrics, the server
@@ -454,14 +458,15 @@ func (s *Server) RunRound() (RoundResult, error) {
 		Deadline: deadline, Selected: len(selected),
 	})
 
-	// Execute phase: dispatch through the shared bounded worker pool and
-	// stream each arriving update into the FedAvg accumulator. Folds happen
-	// strictly in participant index order (a condition-variable turnstile)
-	// and accumulate exactly (internal/exact), so the committed model is
-	// byte-identical for any pool width, completion order or tree shape. A
-	// worker whose turn has not come waits holding only its own response, so
-	// at most pool-width parameter vectors are alive at once; the
-	// O(clients×params) response buffer of the old two-phase design is gone.
+	// Execute phase: dispatch through the shared bounded worker pool. Each
+	// chunk of the fan-out holds one server-owned fold part and, on the flat
+	// path, folds its participants' contributions into that part's exact
+	// partial as they arrive; the parts merge once the fan-out returns.
+	// Exact addition is associative (internal/exact), so the committed model
+	// is byte-identical for any pool width, chunking or completion order, and
+	// at most pool-width parameter vectors are alive at once. The tree path
+	// folds into its tier spine under an index-order turnstile instead, so
+	// tier groups close in canonical order.
 	endExecute := s.sink.Span(obs.SpanFLExecute, tc.ChildLabels()...)
 	n := len(selected)
 	s.caller.resetBudget()
@@ -469,9 +474,7 @@ func (s *Server) RunRound() (RoundResult, error) {
 	// statistic slots, all accumulated exactly so tier partials and quorum
 	// renormalization treat them uniformly.
 	vecDim := len(s.global) + s.agg.ExtraDim(len(s.global))
-	if len(s.contrib) != vecDim {
-		s.contrib = make([]float64, vecDim)
-	}
+	s.resetParts()
 	var tree *treeFold
 	if s.cfg.Tree != nil {
 		if s.tree == nil || s.tree.dim != vecDim || s.tree.cfg != *s.cfg.Tree {
@@ -479,18 +482,12 @@ func (s *Server) RunRound() (RoundResult, error) {
 		}
 		tree = s.tree
 		tree.reset(n, tc)
-	} else {
-		if s.acc == nil || s.acc.Dim() != vecDim {
-			s.acc = exact.NewVec(vecDim)
-		} else {
-			s.acc.Reset()
-		}
 	}
 	// One Configure per round, before dispatch fans out: the strategy's
 	// request decoration (algorithm tag, μ, control variate) is
 	// round-constant, and calling it here keeps stateful strategies off the
 	// concurrent chunk goroutines. Params is only lent to Configure for its
-	// dimensionality — each dispatch gets its own private copy below.
+	// dimensionality — each dispatch gets its own private copy in serve.
 	proto := RoundRequest{
 		Round:    s.round,
 		Params:   s.global,
@@ -500,106 +497,60 @@ func (s *Server) RunRound() (RoundResult, error) {
 	}
 	s.agg.Configure(&proto)
 	proto.Params = nil
-	type slot struct {
-		resp        RoundResponse   // Params stripped after folding
-		err         error           // participant Round failure
-		valErr      error           // aggregation-fatal validation failure
-		treeDropped bool            // folded, then discarded with its subtree
-		recs        []attemptRecord // per-attempt verdicts for ledger + trace graft
-	}
-	slots := make([]slot, n)
+	slots := make([]roundSlot, n)
 	var (
-		foldMu      sync.Mutex
-		foldCond    = sync.NewCond(&foldMu)
-		nextFold    int
-		totalWeight int64
+		foldMu   sync.Mutex
+		foldCond = sync.NewCond(&foldMu)
+		nextFold int
 	)
 	parallel.ForChunk(n, func(lo, hi int) {
-		// One params scratch per chunk: each participant gets a private
-		// copy of the global vector, so no two concurrent requests alias
-		// the same backing slice (and none alias s.global). The scratch is
-		// only reused after the previous index's fold completed, which is
-		// the point where the server stops reading the response.
-		var scratch []float64
+		part := s.takePart(vecDim)
+		defer s.putPart(part)
 		for i := lo; i < hi; i++ {
-			if scratch == nil {
-				scratch = make([]float64, len(s.global))
+			w := s.serve(part, selected[i], proto, &slots[i])
+			if tree == nil {
+				continue
 			}
-			copy(scratch, s.global)
-			req := proto
-			req.Params = scratch
-			resp, recs, err := s.caller.call(selected[i], req, s.sink)
-
 			foldMu.Lock()
 			for nextFold != i {
 				foldCond.Wait()
 			}
-			// Ledger appends happen inside the turnstile, so attempt events
-			// land in participant index order regardless of which goroutine
-			// finished first — the property the byte-identical replay
-			// guarantee rests on.
-			slots[i].recs = recs
-			clientID := selected[i].ID()
-			for _, rec := range recs {
-				ev := ledger.Event{
-					Kind: ledger.KindAttempt, TraceID: tc.TraceID, SpanID: rec.spanID,
-					Client: clientID, Attempt: rec.attempt, Verdict: rec.verdict,
-					DelayNs: rec.delayNs, BackoffNs: rec.backoffNs,
-					WireTxBytes: rec.wireTx, WireRxBytes: rec.wireRx,
-					Detail: rec.detail,
-				}
-				if rec.verdict == ledger.VerdictOK && err == nil {
-					ev.EnergyJoules = resp.Report.Energy
-					ev.LatencySeconds = resp.Report.Duration
-				}
-				s.ledgerAppend(ev)
+			// Attempt events, tier-0 folds and every group close ending here
+			// happen inside the turnstile, so partial frames and their ledger
+			// entries interleave with the attempts in canonical order.
+			s.journalAttempts(tc, selected[i].ID(), &slots[i])
+			if w > 0 {
+				tree.fold(w, part.contrib)
 			}
-			if err != nil {
-				slots[i].err = err
-			} else {
-				// In dropout-tolerant rounds a deadline miss excludes the
-				// update from aggregation; in strict rounds it is still
-				// aggregated (and only reported), matching the legacy
-				// batch behaviour.
-				if !s.tolerant() || resp.Report.DeadlineMet {
-					endFold := s.sink.Span(obs.SpanFLFold, tc.ChildLabels()...)
-					switch {
-					case len(resp.Params) != len(s.global):
-						slots[i].valErr = fmt.Errorf("fl: client %s returned %d params, want %d",
-							resp.ClientID, len(resp.Params), len(s.global))
-					case resp.NumExamples <= 0:
-						slots[i].valErr = fmt.Errorf("fl: client %s reports %d examples",
-							resp.ClientID, resp.NumExamples)
-					default:
-						w := int64(resp.NumExamples)
-						if cerr := s.agg.Contribute(s.contrib, s.global, &resp, s.cfg.Jobs); cerr != nil {
-							slots[i].valErr = cerr
-						} else if tree != nil {
-							tree.fold(w, s.contrib)
-						} else {
-							s.acc.Add(s.contrib)
-							totalWeight += w
-						}
-					}
-					endFold()
-				}
-				resp.Params, resp.Aux = nil, nil // the update now lives in the accumulator
-				slots[i].resp = resp
-			}
-			if tree != nil {
-				// Close every tier group whose span ends here — still inside
-				// the turnstile, so partial frames and their ledger entries
-				// land in canonical order.
-				tree.advance(i)
-			}
+			tree.advance(i)
 			nextFold++
 			foldCond.Broadcast()
 			foldMu.Unlock()
 		}
 	})
+
+	var (
+		accVec      *exact.Vec
+		totalWeight int64
+	)
+	if tree == nil {
+		// Merge the parts, then journal the attempts in participant index
+		// order — whichever worker finished first — which is what the
+		// byte-identical replay guarantee rests on.
+		accVec, totalWeight = s.parts[0].vec, s.parts[0].weight
+		for _, p := range s.parts[1:] {
+			if err := accVec.AddVec(p.vec); err != nil {
+				endExecute()
+				return RoundResult{}, s.abortRound(tc, err)
+			}
+			totalWeight += p.weight
+		}
+		for i := range slots {
+			s.journalAttempts(tc, selected[i].ID(), &slots[i])
+		}
+	}
 	endExecute()
 
-	accVec := s.acc
 	if tree != nil {
 		if tree.err != nil {
 			return RoundResult{}, s.abortRound(tc, tree.err)
@@ -779,6 +730,126 @@ func (s *Server) abortRound(tc obs.TraceContext, err error) error {
 	return err
 }
 
+// roundSlot is one selected participant's outcome, indexed by selection
+// order.
+type roundSlot struct {
+	resp        RoundResponse   // Params stripped after folding
+	err         error           // participant Round failure
+	valErr      error           // aggregation-fatal validation failure
+	treeDropped bool            // folded, then discarded with its subtree
+	recs        []attemptRecord // per-attempt verdicts for ledger + trace graft
+}
+
+// foldPart is one dispatch worker's round state: the request and
+// contribution scratch every participant call needs and, on the flat path,
+// the exact partial sum and example weight of the participants the worker
+// folded. Parts are server-owned and reused across rounds; a fan-out chunk
+// holds one for its duration, so at most pool-width parts exist, and an
+// unused partial allocates no limb planes.
+type foldPart struct {
+	vec     *exact.Vec
+	weight  int64
+	params  []float64 // request scratch: a private copy of the global model
+	contrib []float64 // Contribute scratch, one fold vector wide
+}
+
+// resetParts rewinds every fold part for a new round and returns them all
+// to the free list.
+func (s *Server) resetParts() {
+	for _, p := range s.parts {
+		p.vec.Reset()
+		p.weight = 0
+	}
+	s.free = append(s.free[:0], s.parts...)
+}
+
+// takePart checks a fold part out for one fan-out chunk, building a new one
+// when every existing part is busy.
+func (s *Server) takePart(vecDim int) *foldPart {
+	s.partMu.Lock()
+	defer s.partMu.Unlock()
+	if k := len(s.free); k > 0 {
+		p := s.free[k-1]
+		s.free = s.free[:k-1]
+		return p
+	}
+	p := &foldPart{
+		vec:     exact.NewVec(vecDim),
+		params:  make([]float64, len(s.global)),
+		contrib: make([]float64, vecDim),
+	}
+	s.parts = append(s.parts, p)
+	return p
+}
+
+// putPart returns a chunk's fold part to the free list.
+func (s *Server) putPart(p *foldPart) {
+	s.partMu.Lock()
+	s.free = append(s.free, p)
+	s.partMu.Unlock()
+}
+
+// serve runs participant p's dispatch on a fan-out worker and settles its
+// slot: the call with retries on the part's private copy of the global
+// model, then — for an update the round folds — validation and the
+// strategy's Contribute into part.contrib. On the flat path the contribution
+// is added to the part's exact partial here, inside the fold span; the tree
+// path folds it into the spine under the turnstile. It returns the example
+// weight of the contribution in part.contrib, or 0 when there is none.
+func (s *Server) serve(part *foldPart, p Participant, proto RoundRequest, sl *roundSlot) int64 {
+	copy(part.params, s.global)
+	req := proto
+	req.Params = part.params
+	resp, recs, err := s.caller.call(p, req, s.sink)
+	sl.recs = recs
+	if err != nil {
+		sl.err = err
+		return 0
+	}
+	var w int64
+	// In dropout-tolerant rounds a deadline miss excludes the update from
+	// aggregation; in strict rounds it is still aggregated (and only
+	// reported), matching the batch reference.
+	if !s.tolerant() || resp.Report.DeadlineMet {
+		endFold := s.sink.Span(obs.SpanFLFold, proto.Trace.ChildLabels()...)
+		if err := checkResponse(&resp, len(s.global)); err != nil {
+			sl.valErr = err
+		} else if err := s.agg.Contribute(part.contrib, s.global, &resp, s.cfg.Jobs); err != nil {
+			sl.valErr = err
+		} else {
+			w = int64(resp.NumExamples)
+			if s.cfg.Tree == nil {
+				part.vec.Add(part.contrib)
+				part.weight += w
+			}
+		}
+		endFold()
+	}
+	resp.Params, resp.Aux = nil, nil // the update now lives in the fold
+	sl.resp = resp
+	return w
+}
+
+// journalAttempts appends one ledger event per attempt the participant's
+// dispatch made; a successful final attempt carries the round's energy and
+// latency.
+func (s *Server) journalAttempts(tc obs.TraceContext, clientID string, sl *roundSlot) {
+	for _, rec := range sl.recs {
+		ev := ledger.Event{
+			Kind: ledger.KindAttempt, TraceID: tc.TraceID, SpanID: rec.spanID,
+			Client: clientID, Attempt: rec.attempt, Verdict: rec.verdict,
+			DelayNs: rec.delayNs, BackoffNs: rec.backoffNs,
+			WireTxBytes: rec.wireTx, WireRxBytes: rec.wireRx,
+			Detail: rec.detail,
+		}
+		if rec.verdict == ledger.VerdictOK && sl.err == nil {
+			ev.EnergyJoules = sl.resp.Report.Energy
+			ev.LatencySeconds = sl.resp.Report.Duration
+		}
+		s.ledgerAppend(ev)
+	}
+}
+
 // ledgerAppend stamps the current round onto ev and journals it. Safe with a
 // nil ledger, so call sites need no enabled/disabled branching.
 func (s *Server) ledgerAppend(ev ledger.Event) {
@@ -836,38 +907,6 @@ func (s *Server) recordReports(reports []core.RoundReport, tc obs.TraceContext) 
 		s.sink.Count(obs.MetricPhaseEnergy, e, phase)
 		s.sink.Count(obs.MetricPhaseLatency, phaseLatency[ph], phase)
 	}
-}
-
-// aggregate applies FedAvg in batch: the global model becomes the
-// dataset-size weighted average of the participants' parameters. It performs
-// the same operations as RunRound's streaming fold — accumulate w·v exactly,
-// round once, divide by the integer total weight — so flat rounds, tree
-// rounds and this batch reference are all byte-identical on the same
-// response set; it is kept as the reference implementation for the
-// equivalence tests.
-func (s *Server) aggregate(responses []RoundResponse) error {
-	var totalWeight int64
-	acc := exact.NewVec(len(s.global))
-	for _, r := range responses {
-		switch {
-		case len(r.Params) != len(s.global):
-			return fmt.Errorf("fl: client %s returned %d params, want %d", r.ClientID, len(r.Params), len(s.global))
-		case r.NumExamples <= 0:
-			return fmt.Errorf("fl: client %s reports %d examples", r.ClientID, r.NumExamples)
-		}
-		acc.AddScaled(float64(r.NumExamples), r.Params)
-		totalWeight += int64(r.NumExamples)
-	}
-	if totalWeight <= 0 {
-		return errors.New("fl: zero aggregate weight")
-	}
-	sum := make([]float64, len(s.global))
-	acc.RoundTo(sum)
-	tw := float64(totalWeight)
-	for i := range s.global {
-		s.global[i] = sum[i] / tw
-	}
-	return nil
 }
 
 // Run executes `rounds` rounds and returns all results.

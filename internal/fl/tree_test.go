@@ -110,11 +110,11 @@ func TestTreeMatchesBatchAggregate(t *testing.T) {
 	if _, err := srv.RunRound(); err != nil {
 		t.Fatal(err)
 	}
-	ref := treeServer(t, dim, clients, nil)
-	if err := ref.aggregate(surviving); err != nil {
+	want, err := BatchAggregate(FedAvg{}, global, surviving, 10)
+	if err != nil {
 		t.Fatal(err)
 	}
-	bitwiseEqual(t, "tree vs batch over survivors", srv.GlobalParams(), ref.GlobalParams())
+	bitwiseEqual(t, "tree vs batch over survivors", srv.GlobalParams(), want)
 }
 
 // TestTreePartialMergeProperty is the satellite fold-merge property test:
@@ -233,11 +233,11 @@ func TestTierQuorumSubtreeDrop(t *testing.T) {
 	if !foundHealthy {
 		t.Fatalf("leaf c009 not in Dropped: %v", res.Dropped)
 	}
-	ref := treeServer(t, dim, clients, nil)
-	if err := ref.aggregate(surviving); err != nil {
+	want, err := BatchAggregate(FedAvg{}, global, surviving, 10)
+	if err != nil {
 		t.Fatal(err)
 	}
-	bitwiseEqual(t, "subtree drop vs batch over survivors", srv.GlobalParams(), ref.GlobalParams())
+	bitwiseEqual(t, "subtree drop vs batch over survivors", srv.GlobalParams(), want)
 
 	drops, partials := 0, 0
 	for _, ev := range led.Events() {
@@ -276,7 +276,7 @@ func TestTreeSpineMemoryBounded(t *testing.T) {
 	depth := int(math.Ceil(math.Log(float64(clients)) / math.Log(fanout)))
 	// The spine accumulates the fold vector: model dims plus the
 	// aggregator's statistic slots.
-	perAcc := exact.NewVec(dim + srv.Aggregator().ExtraDim(dim)).MemoryBytes()
+	perAcc := exact.VecBytes(dim + srv.Aggregator().ExtraDim(dim))
 	got := srv.tree.MemoryBytes()
 	if max := int64(depth+1) * perAcc; got > max {
 		t.Fatalf("spine %d bytes exceeds depth bound %d", got, max)

@@ -111,7 +111,7 @@ func TestMillionClientRound(t *testing.T) {
 	if e.Depth() != 3 { // 64^4 ≥ 1M > 64^3
 		t.Fatalf("depth = %d, want 3", e.Depth())
 	}
-	perVec := exact.NewVec(dim).MemoryBytes()
+	perVec := exact.VecBytes(dim)
 	wantSpine := int64(e.Depth()+2) * perVec // tiers 0..depth plus the root
 	if e.SpineBytes() != wantSpine {
 		t.Fatalf("spine = %d bytes, want %d (depth %d)", e.SpineBytes(), wantSpine, e.Depth())

@@ -166,8 +166,8 @@ newline`))
 		t.Error("exposition does not end in a newline")
 	}
 
-	types := map[string]string{}   // family → TYPE
-	helped := map[string]bool{}    // families with HELP
+	types := map[string]string{}    // family → TYPE
+	helped := map[string]bool{}     // families with HELP
 	seenSeries := map[string]bool{} // full series key → seen
 	var samples []promSample
 	currentFamily := ""
