@@ -60,7 +60,7 @@ func run(args []string) error {
 		workers  = fs.Int("workers", 0, "subtree shards simulated concurrently (0 = parallel pool width)")
 		chaos    = fs.Int64("chaos-seed", 0, "availability & fault draw seed (0 = BOFL_CHAOS_SEED env, then -seed)")
 		workload = fs.String("workload", "vit", "workload anchoring the board classes: vit, resnet50, lstm")
-		aggName  = fs.String("aggregator", "fedavg", "aggregation strategy (the fleet engine's zero-alloc fold supports fedavg only)")
+		aggName  = fs.String("aggregator", "fedavg", "aggregation strategy (fedavg only: simulated clients report no step count or control variate)")
 
 		tierQuorum = fs.Float64("tier-quorum", 0, "per-aggregator child quorum; a node below it drops its whole subtree")
 		quorum     = fs.Float64("quorum", 0, "round-level survivor fraction required to commit")
@@ -79,13 +79,15 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// The engine's sharded fold fixes the FedAvg layout for its zero-alloc
-	// guarantees; validate through the shared registry so unknown names get
-	// the same error the full server would give.
+	// A simulated client's update (fleet.UpdateFn) returns parameters and an
+	// example count only — no local step count for FedNova, no control
+	// variate for SCAFFOLD — so the engine folds FedAvg. Validate through the
+	// shared registry so unknown names get the same error the full server
+	// would give.
 	if agg, err := fl.NewAggregator(*aggName, 0); err != nil {
 		return err
 	} else if agg.Name() != fl.AlgFedAvg {
-		return fmt.Errorf("-aggregator %s not supported by the fleet engine (use cmd/flserver for the plugin layer)", agg.Name())
+		return fmt.Errorf("-aggregator %s not supported by the fleet engine: simulated clients report no step count or control variate (use cmd/flserver for the plugin layer)", agg.Name())
 	}
 	w := device.Workload(*workload)
 	classes, err := device.StandardFleetClasses(w)

@@ -308,66 +308,6 @@ func (v *Vec) checkDim(n int) {
 	}
 }
 
-// AddScaledAffine adds w·(a·x[i] + c) into scalar i for every i, with the
-// inner affine map rounded exactly as the equivalent two-instruction float64
-// sequence (`t := a*x[i] + c; acc.AddScaled(w, t)`), then accumulated
-// exactly. It exists for fold pipelines whose per-client update is an affine
-// transform of a shared vector — fusing the transform into the decomposition
-// loop removes a full store-and-reload pass over a scratch vector, which is
-// worth ~15% of a simulated million-client round. Bit-identity with the
-// unfused path is pinned by TestAddScaledAffineMatchesUnfused.
-func (v *Vec) AddScaledAffine(w, a, c float64, x []float64) {
-	v.checkDim(len(x))
-	v.bumpAdds(1)
-	for i := v.affineRun(w, a, c, x, 0); i < len(x); i = v.affineRun(w, a, c, x, i+1) {
-		v.addBits(i, math.Float64bits(w*(a*x[i]+c)))
-	}
-}
-
-// affineRun is scaledRun for the fused affine map; see there.
-func (v *Vec) affineRun(w, a, c float64, x []float64, from int) int {
-	lo, hi := v.loLimb, v.hiLimb
-	if hi-lo < 3 {
-		return from
-	}
-	span := uint(hi - 3 - lo)
-	dim := v.dim
-	p := v.planes[(lo-v.base)*dim:]
-	for i := from; i < len(x); i++ {
-		t := a*x[i] + c
-		b := math.Float64bits(w * t)
-		exp := int(b>>52) & 0x7FF
-		if uint(exp-1) >= 0x7FE {
-			if b<<1 == 0 {
-				continue
-			}
-			return i
-		}
-		pos := exp - 1
-		rel := pos>>5 - lo
-		if uint(rel) > span {
-			return i
-		}
-		high, low := bits.Mul64(b&(1<<52-1)|1<<52, pow2[pos&31])
-		base := rel*dim + i
-		// Loads before stores — see scaledRun for the 4K-aliasing rationale.
-		d0, d1, d2 := p[base], p[base+dim], p[base+2*dim]
-		if int64(b) < 0 {
-			d0 -= int64(low & limbMask)
-			d1 -= int64(low >> limbBits)
-			d2 -= int64(high)
-		} else {
-			d0 += int64(low & limbMask)
-			d1 += int64(low >> limbBits)
-			d2 += int64(high)
-		}
-		p[base] = d0
-		p[base+dim] = d1
-		p[base+2*dim] = d2
-	}
-	return len(x)
-}
-
 // AddVec merges o into v exactly: afterwards v holds the sum of everything
 // either accumulator had absorbed. This is the tree-aggregation merge; it is
 // associative by construction. o is left unchanged.

@@ -307,134 +307,3 @@ func BenchmarkRoundTo(b *testing.B) {
 		v.RoundTo(dst)
 	}
 }
-
-// TestAddScaledAffineMatchesUnfused pins the fused affine fold to the
-// two-step reference (materialize t = a·x+c, then AddScaled): identical
-// accumulator windows and bit-identical rounded results, across magnitudes,
-// signs, zeros and specials.
-func TestAddScaledAffineMatchesUnfused(t *testing.T) {
-	const dim = 64
-	rng := rand.New(rand.NewSource(11))
-	cases := []struct{ w, a, c float64 }{
-		{1, 1, 0},
-		{29, 1.875, 0.25},
-		{3, -0.5, 1e-3},
-		{7, 1e200, -1e180},
-		{2, 1e-300, 0}, // drives subnormal products through the slow path
-		{5, math.Inf(1), 1},
-		{4, 1, math.NaN()},
-	}
-	for ci, tc := range cases {
-		x := make([]float64, dim)
-		for i := range x {
-			switch i % 8 {
-			case 6:
-				x[i] = 0
-			case 7:
-				x[i] = -x[(i+1)%dim]
-			default:
-				x[i] = (rng.Float64()*2 - 1) * math.Pow(2, float64(rng.Intn(80)-40))
-			}
-		}
-		fused := NewVec(dim)
-		ref := NewVec(dim)
-		scratch := make([]float64, dim)
-		for rep := 0; rep < 3; rep++ {
-			fused.AddScaledAffine(tc.w, tc.a, tc.c, x)
-			for i, xi := range x {
-				scratch[i] = tc.a*xi + tc.c
-			}
-			ref.AddScaled(tc.w, scratch)
-		}
-		gl, gh := fused.Window()
-		wl, wh := ref.Window()
-		if gl != wl || gh != wh {
-			t.Fatalf("case %d: window [%d,%d), reference [%d,%d)", ci, gl, gh, wl, wh)
-		}
-		got := make([]float64, dim)
-		want := make([]float64, dim)
-		fused.RoundTo(got)
-		ref.RoundTo(want)
-		for i := range got {
-			if !bitsEq(got[i], want[i]) {
-				t.Fatalf("case %d scalar %d: fused %x, reference %x", ci, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
-			}
-		}
-	}
-}
-
-// TestAddDecompMatchesAddScaledAffine pins that replaying a precomputed
-// decomposition is bit-identical to the direct fused call it memoizes —
-// including specials, subnormals, and exact zeros.
-func TestAddDecompMatchesAddScaledAffine(t *testing.T) {
-	const dim = 96
-	x := make([]float64, dim)
-	rng := uint64(0x5eed_dec0)
-	next := func() uint64 { rng ^= rng << 13; rng ^= rng >> 7; rng ^= rng << 17; return rng }
-	for i := range x {
-		x[i] = (float64(next()%2000) - 1000) * math.Pow(2, float64(int(next()%600))-300)
-	}
-	x[3] = 0
-	x[7] = math.Inf(1)
-	x[11] = math.NaN()
-	x[13] = 5e-324 // subnormal
-	x[17] = -math.MaxFloat64
-
-	cases := []struct{ w, a, c float64 }{
-		{1, 1, 0},
-		{13, 1.25, 0.1875},
-		{29, 1 + 6.0/8, 4.0 / 16},
-		{1e300, 2, 1e-300},
-		{3, 0, 0.5},
-	}
-	for _, tc := range cases {
-		direct := NewVec(dim)
-		replay := NewVec(dim)
-		var d Decomp
-		for rep := 0; rep < 3; rep++ {
-			direct.AddScaledAffine(tc.w, tc.a, tc.c, x)
-			d.From(tc.w, tc.a, tc.c, x)
-			replay.AddDecomp(&d)
-		}
-		got := make([]float64, dim)
-		want := make([]float64, dim)
-		replay.RoundTo(got)
-		direct.RoundTo(want)
-		for i := range got {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("w=%v a=%v c=%v elem %d: replay %x != direct %x",
-					tc.w, tc.a, tc.c, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
-			}
-		}
-	}
-}
-
-func BenchmarkAddScaledAffine(b *testing.B) {
-	const dim = 256
-	x := make([]float64, dim)
-	for i := range x {
-		x[i] = float64(i%17)/16 + 0.5
-	}
-	v := NewVec(dim)
-	b.SetBytes(dim * 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v.AddScaledAffine(float64(1+i%29), 1+float64(i%7)/8, float64(i%5)/16, x)
-	}
-}
-
-func BenchmarkAddDecomp(b *testing.B) {
-	const dim = 256
-	x := make([]float64, dim)
-	for i := range x {
-		x[i] = float64(i%17)/16 + 0.5
-	}
-	var d Decomp
-	d.From(13, 1.25, 0.1875, x)
-	v := NewVec(dim)
-	b.SetBytes(dim * 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v.AddDecomp(&d)
-	}
-}

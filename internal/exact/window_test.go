@@ -196,58 +196,35 @@ func TestNormalizeCarriesIntoUnallocatedPlane(t *testing.T) {
 	}
 }
 
-// TestAddDecompZeroSlotsPlaneZeroUnallocated replays a decomposition whose
-// zero slots — leading, interior and trailing — sit beside normal values far
-// above plane 0, into a Vec that never allocated plane 0.
-func TestAddDecompZeroSlotsPlaneZeroUnallocated(t *testing.T) {
+// TestZeroSlotsLeavePlaneZeroUnallocated folds a vector whose zeros —
+// leading, interior and trailing — sit beside normal values far above plane
+// 0: no zero widens the window down to plane 0 or allocates it.
+func TestZeroSlotsLeavePlaneZeroUnallocated(t *testing.T) {
 	x := []float64{0, 0, 1.5, 0, -2.25, 1e10, 0, -3, 0}
-	const w, a, c = 3, 1, 0
-	direct := NewVec(len(x))
-	replay := NewVec(len(x))
-	var d Decomp
-	d.From(w, a, c, x)
+	tr := newTracked(len(x))
 	for rep := 0; rep < 3; rep++ {
-		direct.AddScaledAffine(w, a, c, x)
-		replay.AddDecomp(&d)
+		tr.addScaled(3, x)
 	}
-	// Leading zeros must not widen an empty window down to plane 0 on any
-	// add path.
-	scaled := NewVec(len(x))
-	scaled.AddScaled(w, x)
-	for _, u := range []*Vec{replay, direct, scaled} {
-		lo, hi := u.Window()
-		if dl, dh := direct.Window(); lo != dl || hi != dh || u.base == 0 {
-			t.Fatalf("window [%d,%d) from slab plane %d, want [%d,%d) above plane 0", lo, hi, u.base, dl, dh)
-		}
+	if lo, _ := tr.v.Window(); lo == 0 || tr.v.base == 0 {
+		t.Fatalf("window from plane %d, slab from plane %d: want both above plane 0", lo, tr.v.base)
 	}
-	got, want := make([]float64, len(x)), make([]float64, len(x))
-	replay.RoundTo(got)
-	direct.RoundTo(want)
-	for i := range got {
-		oracle := oracleSum([]float64{w * x[i], w * x[i], w * x[i]})
-		if !bitsEq(got[i], want[i]) || !bitsEq(got[i], oracle) {
-			t.Fatalf("scalar %d: replay %v, direct %v, oracle %v", i, got[i], want[i], oracle)
-		}
-	}
+	tr.check(t, "zero slots")
 
-	// A decomposition with no normal value allocates nothing.
+	// A vector with no normal value allocates nothing.
 	empty := NewVec(3)
-	d.From(1, 1, 0, []float64{0, 0, -0.0})
-	empty.AddDecomp(&d)
+	empty.AddScaled(1, []float64{0, 0, -0.0})
 	if lo, hi := empty.Window(); lo < hi || empty.MemoryBytes() != 0 {
-		t.Fatalf("all-zero replay touched window [%d,%d), %d bytes", lo, hi, empty.MemoryBytes())
+		t.Fatalf("all-zero add touched window [%d,%d), %d bytes", lo, hi, empty.MemoryBytes())
 	}
 }
 
 // TestSteadyStateAddsAllocateNothing pins the hot paths at zero allocations
-// once the planes their workload touches exist: every add shape, both
-// merges, rounding and Reset.
+// once the planes their workload touches exist: AddScaled, both merges,
+// rounding and Reset.
 func TestSteadyStateAddsAllocateNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const dim = 256
 	x := scaledRow(rng, dim, 0)
-	var d Decomp
-	d.From(7, 1.25, 0.5, x)
 	other := NewVec(dim)
 	other.AddScaled(3, x)
 	ser := other.Serialize()
@@ -255,8 +232,6 @@ func TestSteadyStateAddsAllocateNothing(t *testing.T) {
 	v := NewVec(dim)
 	step := func() {
 		v.AddScaled(float64(1+rng.Intn(9)), x)
-		v.AddScaledAffine(5, 1.5, -0.25, x)
-		v.AddDecomp(&d)
 		if err := v.AddVec(other); err != nil {
 			t.Fatal(err)
 		}

@@ -264,7 +264,7 @@ type Server struct {
 	parts  []*foldPart
 	free   []*foldPart
 	partMu sync.Mutex
-	tree   *treeFold
+	tree   *TreeFold
 	// sum is commit scratch for the rounded exact totals.
 	sum []float64
 }
@@ -475,13 +475,14 @@ func (s *Server) RunRound() (RoundResult, error) {
 	// renormalization treat them uniformly.
 	vecDim := len(s.global) + s.agg.ExtraDim(len(s.global))
 	s.resetParts()
-	var tree *treeFold
+	var tree *TreeFold
 	if s.cfg.Tree != nil {
 		if s.tree == nil || s.tree.dim != vecDim || s.tree.cfg != *s.cfg.Tree {
-			s.tree = newTreeFold(s, *s.cfg.Tree, vecDim)
+			s.tree = NewTreeFold(*s.cfg.Tree, vecDim, 0, s.sink, s.ledgerAppend)
 		}
 		tree = s.tree
-		tree.reset(n, tc)
+		tree.sink = s.sink // SetSink may have replaced it since the spine was built
+		tree.Reset(s.round, tc, n, 0, 0, TreeDepth(s.cfg.Tree.Fanout, n))
 	}
 	// One Configure per round, before dispatch fans out: the strategy's
 	// request decoration (algorithm tag, μ, control variate) is
@@ -520,9 +521,9 @@ func (s *Server) RunRound() (RoundResult, error) {
 			// entries interleave with the attempts in canonical order.
 			s.journalAttempts(tc, selected[i].ID(), &slots[i])
 			if w > 0 {
-				tree.fold(w, part.contrib)
+				tree.Leaf(1, part.contrib, w, 0)
 			}
-			tree.advance(i)
+			tree.Advance(i)
 			nextFold++
 			foldCond.Broadcast()
 			foldMu.Unlock()
@@ -533,7 +534,9 @@ func (s *Server) RunRound() (RoundResult, error) {
 		accVec      *exact.Vec
 		totalWeight int64
 	)
-	if tree == nil {
+	if tree != nil {
+		accVec, totalWeight, _ = tree.Root()
+	} else {
 		// Merge the parts, then journal the attempts in participant index
 		// order — whichever worker finished first — which is what the
 		// byte-identical replay guarantee rests on.
@@ -552,10 +555,9 @@ func (s *Server) RunRound() (RoundResult, error) {
 	endExecute()
 
 	if tree != nil {
-		if tree.err != nil {
-			return RoundResult{}, s.abortRound(tc, tree.err)
+		if err := tree.Err(); err != nil {
+			return RoundResult{}, s.abortRound(tc, err)
 		}
-		accVec, totalWeight = tree.root()
 		for i := range slots {
 			// A discarded subtree's weight never reached the root, so its
 			// leaves are out of the commit even though they folded.

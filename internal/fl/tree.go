@@ -1,23 +1,30 @@
 package fl
 
-// Hierarchical aggregation. With a tree configured, RunRound's turnstile no
-// longer folds leaves into a single root accumulator: contiguous spans of
-// Fanout leaves fold into a tier-0 aggregator, every Fanout tier-0 partials
-// merge into a tier-1 aggregator, and so on until one node spans the whole
-// selection — the root. Because the turnstile already fixes the canonical
-// leaf order and the fold arithmetic is exact (internal/exact), only the
+// Hierarchical aggregation. TreeFold is the one streaming tier spine: the
+// serving plane's tree rounds (Server.RunRound) and the fleet simulator's
+// shard workers and shard merge (internal/fleet) all fold tiers through it.
+// Contiguous spans of Fanout leaves fold into a tier-0 group, every Fanout
+// tier-0 partials merge into a tier-1 group, and so on until one group spans
+// the whole tree — the root. Because callers feed the spine in leaf index
+// order and the fold arithmetic is exact (internal/exact), only the
 // *rightmost* group of every tier can be open at any moment. That spine is
 // the whole working set: O(depth · params) accumulator memory regardless of
-// how many leaves the round selects, and the root sum is bit-identical to
-// the flat fold for any fanout.
+// how many leaves the tree covers, and the root sum is bit-identical to the
+// flat fold for any fanout.
 //
-// Every group close serializes the child's accumulator window into a BFL1
-// partial-aggregate frame and absorbs it into the parent through the decoder
-// — the in-process tree exercises the identical wire path a distributed tier
-// deployment would, and the frame bytes are journaled per tier.
+// Every group close serializes the group's accumulator window into a BFL1
+// partial-aggregate frame, and the parent absorbs it through the decoder —
+// the in-process tree exercises the identical wire path a distributed tier
+// deployment would, and the frame bytes are journaled per tier. The cycle
+// runs on pooled state (serialize target, frame buffer, decode target), so a
+// close allocates nothing in steady state. A spine may cover part of a tree:
+// it starts at an absolute leaf, takes its inputs at a base tier — leaves at
+// tier 0, or child partials above it — and closes groups up to a top tier.
+// The top group's frame is received by the caller: into the spine's root
+// accumulator (Root), or decoded for another spine's base tier (Partial).
 //
 // Per-tier quorum composes with the round-level machinery: a group whose
-// surviving children fall below ⌈TierQuorum · children⌉ is discarded whole
+// delivering children fall below ⌈TierQuorum · children⌉ is discarded whole
 // (KindSubtreeDrop), its leaves join the round's Dropped list, and — because
 // normalization is deferred to the root commit — the parent renormalizes
 // over the surviving siblings by doing nothing at all.
@@ -26,20 +33,11 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"sync"
 
 	"bofl/internal/exact"
 	"bofl/internal/obs"
 	"bofl/internal/obs/ledger"
-	"bofl/internal/parallel"
 )
-
-// maxPendingCloses bounds the tier-0 close pipeline: how many group closes
-// may have their frame encode/decode in flight off the turnstile before the
-// oldest must commit. Small and fixed — the pipeline exists to overlap codec
-// work (including gzip for large windows) with the next leaves' folds, not to
-// buffer the round.
-const maxPendingCloses = 4
 
 // TreeConfig shapes the aggregation tree.
 type TreeConfig struct {
@@ -66,141 +64,163 @@ func (c *TreeConfig) validate() error {
 	return nil
 }
 
+// TreeDepth returns the root group's tier in a tree of n leaves: the lowest
+// tier whose group span, fanout^(tier+1), covers every leaf.
+func TreeDepth(fanout, n int) int {
+	depth := 0
+	for span := fanout; span < n; span *= fanout {
+		depth++
+		if span > n/fanout {
+			break // the next span covers n
+		}
+	}
+	return depth
+}
+
+// partialCodecLabel labels the partial frames' wire-byte counter; shared so a
+// close passes no freshly allocated label slice to the sink.
+var partialCodecLabel = []obs.Label{obs.L("codec", "partial")}
+
 // treeTier is one tier's live (rightmost) aggregator group.
 type treeTier struct {
 	vec       *exact.Vec
-	weight    int64 // integer example-count weight folded so far
-	arrived   int   // children that delivered into the open group
-	attempted int   // children closed under the open group, delivered or not
-	leafLo    int   // first leaf index of the open group's span
-	node      int   // tier-local ordinal of the open group
+	weight    int64   // integer example-count weight folded so far
+	arrived   int     // children that delivered into the open group
+	attempted int     // children closed under the open group, delivered or not
+	survivors int     // leaves folded into the open group, across every tier below
+	latest    float64 // latest child completion time, delivered or not
+	leafLo    int     // first leaf index of the open group's span
+	span      int     // leaves per group at this tier, saturated at the tree size
 }
 
-// closeJob is one tier-0 group close in flight: the frame bytes produced
-// under the turnstile (the encode must stay synchronous — its ledger event's
-// byte position and wire size are part of the canonical journal), plus the
-// decode its worker runs off-thread. Jobs are ring slots reused across closes
-// and rounds, so steady-state pipelining allocates nothing.
-type closeJob struct {
-	node int
-	buf  bytes.Buffer
-	dec  PartialAggregate
-	err  error
-	wg   sync.WaitGroup
+// TreeStats counts one spine run's tier traffic and quorum losses.
+type TreeStats struct {
+	Partials     int   // partial frames shipped
+	WireBytes    int64 // encoded bytes of those frames
+	SubtreeDrops int   // groups discarded by tier quorum
+	DropLeaves   int   // surviving leaves inside the discarded groups
 }
 
-// run is the off-turnstile half of a tier-0 close: decoding the partial frame
-// (meta parse, gunzip, limb unpack) — the identical wire path the sync close
-// exercises. Absorbing into the parent stays on the turnstile (commitClose),
-// in enqueue order, so the fold remains canonical.
-func (j *closeJob) run() {
-	defer j.wg.Done()
-	if err := DecodePartialAggregateInto(&j.buf, &j.dec); err != nil {
-		j.err = fmt.Errorf("fl: tier 0 node %d: decode partial: %w", j.node, err)
-	}
-}
+// TreeFold is the streaming tier spine. It is reused across runs (the tier
+// accumulators are the dominant allocation) and rewound by Reset. Not safe
+// for concurrent use; concurrent callers each hold their own spine.
+type TreeFold struct {
+	cfg TreeConfig
+	dim int
+	// hop is the latency a shipped group adds to its completion time on the
+	// way to its parent (0 on the serving plane, where nothing is priced).
+	hop  float64
+	sink obs.Sink
+	// journal appends a ledger event; nil journals nothing.
+	journal func(ledger.Event)
 
-// treeFold is the per-round spine. It is reused across rounds (the tier
-// accumulators are the dominant allocation) and rewound by reset.
-type treeFold struct {
-	srv   *Server
-	cfg   TreeConfig
-	dim   int
+	// tiers is indexed by absolute tier; base..top+1 are live in a run, and
+	// tier top+1 receives the top group's frame (see Root).
 	tiers []*treeTier
 
-	// Tier-0 close pipeline: a FIFO ring of in-flight closeJobs. Commits
-	// happen in enqueue order, and every tier ≥ 1 close (and every subtree
-	// drop) drains the ring first, so partial frames, ledger events and
-	// parent folds land in exactly the serial order.
-	jobs    [maxPendingCloses]*closeJob
-	jobHead int
-	jobLen  int
-
-	// Per-round state.
-	n         int
+	// Per-run state.
+	round     int
 	tc        obs.TraceContext
+	labels    []obs.Label // tc's child-span labels, kept while tc repeats
+	n         int         // leaves in the whole tree
+	base, top int
+	pending   bool     // the top group shipped a frame not yet received
 	dropped   [][2]int // leaf spans discarded by per-tier quorum, inclusive
-	partials  int
-	wireBytes int64
+	stats     TreeStats
 	err       error // first wire/merge failure; aborts the round
+
+	// Pooled frame cycle state.
+	ser exact.Serialized
+	buf bytes.Buffer
+	dec PartialAggregate
 }
 
-func newTreeFold(srv *Server, cfg TreeConfig, dim int) *treeFold {
-	return &treeFold{srv: srv, cfg: cfg, dim: dim}
+// NewTreeFold builds a spine over dim-wide fold vectors. Closes report to
+// sink (SpanFLTierFold, partial and subtree-drop counters) and journal their
+// partial and subtree_drop events through journal (nil journals nothing).
+func NewTreeFold(cfg TreeConfig, dim int, hop float64, sink obs.Sink, journal func(ledger.Event)) *TreeFold {
+	return &TreeFold{cfg: cfg, dim: dim, hop: hop, sink: obs.OrNop(sink), journal: journal}
 }
 
-// reset rewinds the spine for a new round over n selected leaves.
-func (f *treeFold) reset(n int, tc obs.TraceContext) {
-	f.drainCloses() // defensive: a completed round always leaves the ring empty
-	f.n, f.tc = n, tc
-	f.dropped = f.dropped[:0]
-	f.partials, f.wireBytes, f.err = 0, 0, nil
-	for _, t := range f.tiers {
-		t.vec.Reset()
-		t.weight, t.arrived, t.attempted, t.leafLo, t.node = 0, 0, 0, 0, 0
+// Reset rewinds the spine for one run over a tree of n leaves: inputs enter
+// tier base starting at absolute leaf lo, and groups close up to tier top
+// (at most TreeDepth(fanout, n)).
+func (f *TreeFold) Reset(round int, tc obs.TraceContext, n, lo, base, top int) {
+	f.round, f.n, f.base, f.top = round, n, base, top
+	if f.labels == nil || tc != f.tc {
+		f.labels = tc.ChildLabels()
 	}
-	f.ensureTier(0)
-}
-
-// ensureTier returns tier t, growing the spine as needed.
-func (f *treeFold) ensureTier(t int) *treeTier {
-	for len(f.tiers) <= t {
+	f.tc = tc
+	f.pending = false
+	f.dropped = f.dropped[:0]
+	f.stats, f.err = TreeStats{}, nil
+	for len(f.tiers) <= top+1 {
 		f.tiers = append(f.tiers, &treeTier{vec: exact.NewVec(f.dim)})
 	}
-	return f.tiers[t]
+	span := f.cfg.Fanout
+	for t, tier := range f.tiers[:top+2] {
+		if t >= base {
+			tier.vec.Reset()
+			tier.weight, tier.arrived, tier.attempted, tier.survivors = 0, 0, 0, 0
+			tier.latest, tier.leafLo = 0, lo
+		}
+		tier.span = min(span, n)
+		if span <= n/f.cfg.Fanout {
+			span *= f.cfg.Fanout
+		} else {
+			span = n
+		}
+	}
 }
 
-// fold streams one surviving leaf contribution into the open tier-0 group.
-// contrib is the aggregator-produced vector (weighted parameters plus the
-// strategy's statistic slots, already scaled); w is the integer example
-// weight, tracked for quorum accounting and the ledger. Must be called under
-// the turnstile, in leaf index order.
-func (f *treeFold) fold(w int64, contrib []float64) {
+// Leaf folds one surviving leaf into the open tier-0 group: scale·x, added
+// exactly, with integer example weight w, arriving at time at. Callers pass
+// scale 1 for a contribution that is already weighted.
+func (f *TreeFold) Leaf(scale float64, x []float64, w int64, at float64) {
 	t0 := f.tiers[0]
-	t0.vec.Add(contrib)
+	t0.vec.AddScaled(scale, x)
 	t0.weight += w
 	t0.arrived++
+	t0.survivors++
+	if at > t0.latest {
+		t0.latest = at
+	}
 }
 
-// advance closes every group whose span ends at leaf i. Must be called under
-// the turnstile after leaf i's slot is settled, for every leaf — survivors
-// and dropouts alike.
-func (f *treeFold) advance(i int) {
-	f.tiers[0].attempted++
-	span := f.cfg.Fanout
-	t := 0
-	for (i+1)%span == 0 || i+1 == f.n {
-		top := span >= f.n // this group spans the whole selection: its close fills the root
-		f.closeGroup(t, i)
-		if top {
+// Child absorbs one decoded child partial into the open base-tier group,
+// taking the child's weight and leaf survivors from the frame; nil is a child
+// that shipped nothing (dropped or vacuous) but still completed at at.
+func (f *TreeFold) Child(pa *PartialAggregate, at float64) {
+	tier := f.tiers[f.base]
+	if at > tier.latest {
+		tier.latest = at
+	}
+	if pa != nil {
+		f.absorb(f.base, pa)
+	}
+}
+
+// Advance closes every group whose span ends at leaf i, from the base tier
+// up to the top. Callers advance past every leaf (or every base-tier child's
+// last leaf) in index order — survivors and dropouts alike.
+func (f *TreeFold) Advance(i int) {
+	f.tiers[f.base].attempted++
+	for t := f.base; t <= f.top; t++ {
+		if (i+1)%f.tiers[t].span != 0 && i+1 != f.n {
 			return
 		}
-		t++
-		if span > f.n/f.cfg.Fanout {
-			span = f.n // saturates: only the i+1 == n close remains above here
-		} else {
-			span *= f.cfg.Fanout
-		}
+		f.closeGroup(t, i)
 	}
 }
 
 // closeGroup finalizes tier t's open group ending at leaf i: quorum-check it,
-// then either ship a partial frame into the parent or discard the subtree.
-// Tier-0 ships go through the async pipeline when the parallel pool has
-// workers to spare; every other path drains the pipeline first, so observable
-// order is always the serial one.
-func (f *treeFold) closeGroup(t, i int) {
-	if t > 0 {
-		// A tier ≥ 1 close folds over its children's partials — every pending
-		// tier-0 close below it must have committed.
-		f.drainCloses()
-	}
-	tier := f.tiers[t]
-	parent := f.ensureTier(t + 1)
-	node := tier.node
-	endSpan := f.srv.sink.Span(obs.SpanFLTierFold, f.tc.ChildLabels()...)
+// then either ship a partial frame towards the parent or discard the subtree.
+func (f *TreeFold) closeGroup(t, i int) {
+	endSpan := f.sink.Span(obs.SpanFLTierFold, f.labels...)
 	defer endSpan()
-
+	tier, parent := f.tiers[t], f.tiers[t+1]
+	node := tier.leafLo / tier.span
+	at := tier.latest
 	required := 0
 	if f.cfg.TierQuorum > 0 {
 		required = int(math.Ceil(f.cfg.TierQuorum * float64(tier.attempted)))
@@ -210,152 +230,146 @@ func (f *treeFold) closeGroup(t, i int) {
 		// Subtree drop: the partial never leaves this node. Deferred
 		// normalization means the parent renormalizes over its surviving
 		// children implicitly — the dropped weight simply never reaches the
-		// root divisor. (Pending closes journaled at enqueue, so no drain is
-		// needed for event order.)
+		// root divisor.
 		f.dropped = append(f.dropped, [2]int{tier.leafLo, i})
-		f.srv.sink.Count(obs.MetricFLSubtreeDrops, 1)
-		f.srv.ledgerAppend(ledger.Event{
-			Kind: ledger.KindSubtreeDrop, TraceID: f.tc.TraceID,
+		f.stats.SubtreeDrops++
+		f.stats.DropLeaves += tier.survivors
+		f.sink.Count(obs.MetricFLSubtreeDrops, 1)
+		f.record(ledger.Event{
+			Kind: ledger.KindSubtreeDrop, Round: f.round, TraceID: f.tc.TraceID,
 			Tier: t, Node: node, Survivors: tier.arrived, Selected: tier.attempted,
 			Detail: fmt.Sprintf("quorum %d/%d", tier.arrived, required),
 		})
 	case tier.arrived == 0:
 		// Vacuous group (every leaf below already dropped individually, no
 		// tier quorum configured): nothing to forward, nothing to journal.
-	case t == 0 && f.n > f.cfg.Fanout && parallel.Workers() > 1:
-		// Non-root tier-0 close with workers available: snapshot under the
-		// turnstile, frame off-thread, commit in enqueue order.
-		f.enqueueClose(tier, i)
-	default:
-		pa := PartialAggregate{
-			Round: f.srv.round, Tier: t, Node: node,
-			LeafLo: tier.leafLo, LeafHi: i,
-			Survivors: tier.arrived, Weight: tier.weight,
-			Sum:   tier.vec.Serialize(),
-			Trace: f.tc,
+	case f.ship(t, node, i):
+		at += f.hop
+		if t < f.top {
+			f.receive(t + 1)
+		} else {
+			f.pending = true
 		}
-		buf := getBuf()
-		if err := EncodePartialAggregate(buf, pa); err != nil {
-			f.fail(fmt.Errorf("fl: tier %d node %d: encode partial: %w", t, node, err))
-			putBuf(buf)
-			break
-		}
-		wire := int64(buf.Len())
-		dec, err := DecodePartialAggregate(buf)
-		putBuf(buf)
-		if err != nil {
-			f.fail(fmt.Errorf("fl: tier %d node %d: decode partial: %w", t, node, err))
-			break
-		}
-		if err := parent.vec.Absorb(dec.Sum); err != nil {
-			f.fail(fmt.Errorf("fl: tier %d node %d: absorb partial: %w", t, node, err))
-			break
-		}
-		parent.weight += dec.Weight
-		parent.arrived++
-		f.partials++
-		f.wireBytes += wire
-		f.srv.sink.Count(obs.MetricFLPartials, 1)
-		f.srv.sink.Count(obs.MetricFLWireTx, float64(wire), obs.L("codec", "partial"))
-		f.srv.ledgerAppend(ledger.Event{
-			Kind: ledger.KindPartial, TraceID: f.tc.TraceID,
-			Tier: t, Node: node, Survivors: tier.arrived, Selected: tier.attempted,
-			Weight: tier.weight, WireTxBytes: wire,
-		})
 	}
 	parent.attempted++
+	if at > parent.latest {
+		parent.latest = at
+	}
 	tier.vec.Reset()
-	tier.weight, tier.arrived, tier.attempted = 0, 0, 0
-	tier.leafLo = i + 1
-	tier.node++
+	tier.weight, tier.arrived, tier.attempted, tier.survivors = 0, 0, 0, 0
+	tier.latest, tier.leafLo = 0, i+1
 }
 
-// enqueueClose runs the turnstile half of an async tier-0 close — serialize,
-// encode, journal, count, all byte-identical to the sync path — then hands
-// the decode to a goroutine. When the ring is full the oldest job commits
-// first, bounding in-flight memory at maxPendingCloses frames.
-func (f *treeFold) enqueueClose(tier *treeTier, i int) {
-	if f.jobLen == maxPendingCloses {
-		f.commitClose()
-	}
-	slot := (f.jobHead + f.jobLen) % maxPendingCloses
-	j := f.jobs[slot]
-	if j == nil {
-		j = &closeJob{}
-		f.jobs[slot] = j
-	}
-	node := tier.node
+// ship encodes tier t's open group (node, ending at leaf i) into f.buf as a
+// partial frame and journals it. It reports whether a frame was produced.
+func (f *TreeFold) ship(t, node, i int) bool {
+	tier := f.tiers[t]
+	tier.vec.SerializeInto(&f.ser)
 	pa := PartialAggregate{
-		Round: f.srv.round, Tier: 0, Node: node,
+		Round: f.round, Tier: t, Node: node,
 		LeafLo: tier.leafLo, LeafHi: i,
-		Survivors: tier.arrived, Weight: tier.weight,
-		Sum:   tier.vec.Serialize(),
-		Trace: f.tc,
+		Survivors: tier.survivors, Weight: tier.weight,
+		Sum: f.ser, Trace: f.tc,
 	}
-	j.buf.Reset()
-	if err := EncodePartialAggregate(&j.buf, pa); err != nil {
-		f.fail(fmt.Errorf("fl: tier 0 node %d: encode partial: %w", node, err))
-		return
+	f.buf.Reset()
+	if err := EncodePartialAggregate(&f.buf, pa); err != nil {
+		f.fail(fmt.Errorf("fl: tier %d node %d: encode partial: %w", t, node, err))
+		return false
 	}
-	wire := int64(j.buf.Len())
-	f.partials++
-	f.wireBytes += wire
-	f.srv.sink.Count(obs.MetricFLPartials, 1)
-	f.srv.sink.Count(obs.MetricFLWireTx, float64(wire), obs.L("codec", "partial"))
-	f.srv.ledgerAppend(ledger.Event{
-		Kind: ledger.KindPartial, TraceID: f.tc.TraceID,
-		Tier: 0, Node: node, Survivors: tier.arrived, Selected: tier.attempted,
+	wire := int64(f.buf.Len())
+	f.stats.Partials++
+	f.stats.WireBytes += wire
+	f.sink.Count(obs.MetricFLPartials, 1)
+	f.sink.Count(obs.MetricFLWireTx, float64(wire), partialCodecLabel...)
+	f.record(ledger.Event{
+		Kind: ledger.KindPartial, Round: f.round, TraceID: f.tc.TraceID,
+		Tier: t, Node: node, Survivors: tier.arrived, Selected: tier.attempted,
 		Weight: tier.weight, WireTxBytes: wire,
 	})
-	j.node = node
-	j.err = nil
-	j.wg.Add(1)
-	f.jobLen++
-	go j.run()
+	return true
 }
 
-// commitClose retires the oldest in-flight close: waits for its decode and
-// absorbs the partial into tier 1 — the same fold, in enqueue order.
-func (f *treeFold) commitClose() {
-	j := f.jobs[f.jobHead]
-	f.jobHead = (f.jobHead + 1) % maxPendingCloses
-	f.jobLen--
-	j.wg.Wait()
-	if j.err != nil {
-		f.fail(j.err)
+// receive decodes the frame in f.buf and absorbs it into tier t's open group.
+func (f *TreeFold) receive(t int) {
+	if f.decode(&f.dec) {
+		f.absorb(t, &f.dec)
+	}
+}
+
+// decode decodes the frame in f.buf into pa.
+func (f *TreeFold) decode(pa *PartialAggregate) bool {
+	if err := DecodePartialAggregateInto(&f.buf, pa); err != nil {
+		f.fail(fmt.Errorf("fl: decode partial: %w", err))
+		return false
+	}
+	return true
+}
+
+// absorb folds a decoded child partial into tier t's open group, taking the
+// child's weight and leaf survivors from the frame.
+func (f *TreeFold) absorb(t int, pa *PartialAggregate) {
+	tier := f.tiers[t]
+	if err := tier.vec.Absorb(pa.Sum); err != nil {
+		f.fail(fmt.Errorf("fl: tier %d node %d: absorb partial: %w", pa.Tier, pa.Node, err))
 		return
 	}
-	parent := f.ensureTier(1)
-	if err := parent.vec.Absorb(j.dec.Sum); err != nil {
-		f.fail(fmt.Errorf("fl: tier 0 node %d: absorb partial: %w", j.node, err))
-		return
-	}
-	parent.weight += j.dec.Weight
-	parent.arrived++
+	tier.weight += pa.Weight
+	tier.survivors += pa.Survivors
+	tier.arrived++
 }
 
-// drainCloses commits every in-flight tier-0 close, oldest first.
-func (f *treeFold) drainCloses() {
-	for f.jobLen > 0 {
-		f.commitClose()
+func (f *TreeFold) record(ev ledger.Event) {
+	if f.journal != nil {
+		f.journal(ev)
 	}
 }
 
-func (f *treeFold) fail(err error) {
+func (f *TreeFold) fail(err error) {
 	if f.err == nil {
 		f.err = err
 	}
 }
 
-// root returns the root accumulator and total surviving weight. Valid only
-// after advance(n-1).
-func (f *treeFold) root() (*exact.Vec, int64) {
-	top := f.tiers[len(f.tiers)-1]
-	return top.vec, top.weight
+// Partial decodes the top group's frame into pa and reports whether the top
+// group shipped one: the receiving half of the top close, for a caller that
+// forwards the partial to another spine's Child. Valid only after the run's
+// last Advance.
+func (f *TreeFold) Partial(pa *PartialAggregate) bool {
+	if !f.pending {
+		return false
+	}
+	f.pending = false
+	pa.Trace = f.tc // the decoder's reuse hint: the frame carries this trace
+	return f.decode(pa)
 }
 
+// Root absorbs the top group's frame, if it shipped one, into the root
+// accumulator (tier top+1) and returns that accumulator with its total weight
+// and leaf survivors. Valid only after the run's last Advance.
+func (f *TreeFold) Root() (vec *exact.Vec, weight int64, survivors int) {
+	root := f.tiers[f.top+1]
+	if f.pending {
+		// The receiving half of the top group's close.
+		endSpan := f.sink.Span(obs.SpanFLTierFold, f.labels...)
+		f.pending = false
+		f.receive(f.top + 1)
+		endSpan()
+	}
+	return root.vec, root.weight, root.survivors
+}
+
+// CompleteAt returns when the top group's result reached its parent: the
+// latest child completion time below it, plus the hop when it shipped.
+func (f *TreeFold) CompleteAt() float64 { return f.tiers[f.top+1].latest }
+
+// Stats returns the run's tier traffic and quorum losses.
+func (f *TreeFold) Stats() TreeStats { return f.stats }
+
+// Err returns the run's first wire or merge failure.
+func (f *TreeFold) Err() error { return f.err }
+
 // treeDropped reports whether leaf i fell inside a discarded subtree.
-func (f *treeFold) treeDropped(i int) bool {
+func (f *TreeFold) treeDropped(i int) bool {
 	for _, s := range f.dropped {
 		if i >= s[0] && i <= s[1] {
 			return true
@@ -364,9 +378,8 @@ func (f *treeFold) treeDropped(i int) bool {
 	return false
 }
 
-// MemoryBytes reports the spine's accumulator footprint — O(depth · params),
-// the bound the fleet simulator's per-node accounting checks.
-func (f *treeFold) MemoryBytes() int64 {
+// MemoryBytes reports the spine's accumulator footprint — O(depth · params).
+func (f *TreeFold) MemoryBytes() int64 {
 	var total int64
 	for _, t := range f.tiers {
 		total += t.vec.MemoryBytes()

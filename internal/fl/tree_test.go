@@ -238,6 +238,10 @@ func TestTierQuorumSubtreeDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 	bitwiseEqual(t, "subtree drop vs batch over survivors", srv.GlobalParams(), want)
+	// Frames carry leaf survivors, not child counts, up to the root.
+	if _, _, leaves := srv.tree.Root(); leaves != len(res.Responses) {
+		t.Fatalf("root folded %d leaf survivors, want %d", leaves, len(res.Responses))
+	}
 
 	drops, partials := 0, 0
 	for _, ev := range led.Events() {
@@ -368,12 +372,12 @@ func TestTreeConfigValidation(t *testing.T) {
 	}
 }
 
-// TestTreePipelinedClosesMatchSerial pins the async tier-0 close pipeline:
-// with pool workers available, group closes frame their partials off the
-// turnstile and commit in enqueue order, so the committed model AND the
-// ledger JSONL must be byte-identical to the single-worker serial walk —
+// TestTreePipelinedClosesMatchSerial pins the tree path's pool-width
+// invariance: participants are served concurrently on 2 and 4 workers while
+// group closes run under the index-order turnstile, so the committed model
+// AND the ledger JSONL must be byte-identical to the single-worker walk —
 // with subtree drops and dropouts interleaved. Run with -race to check the
-// snapshot hand-off.
+// hand-off from the dispatch workers to the spine.
 func TestTreePipelinedClosesMatchSerial(t *testing.T) {
 	const dim, clients, fanout = 96, 61, 3 // ragged everywhere
 	run := func(workersN int) ([]float64, []byte) {

@@ -6,35 +6,40 @@
 // tree as BFL1 partial-aggregate frames, and the round's wall time is the
 // slowest surviving path to the root, not the machine the simulator runs on.
 //
-// Memory is the point. The simulator walks the tree depth-first, so at any
-// moment exactly one aggregator per tier is open per worker: O(depth·params)
-// accumulator state plus one scratch update vector, regardless of fleet size.
-// No slice anywhere is proportional to the number of clients — a client's
-// spec, availability and update are all recomputed on demand as pure
-// functions of (seed, index, round), the same order-independent hash
-// construction the chaos plane uses (Falafels-style discrete events over a
-// BouquetFL-style heterogeneous population).
+// The tree is the serving plane's: every tier fold runs through fl.TreeFold,
+// the streaming spine fl.Server's tree rounds use, so tier quorum, partial
+// frames and their ledger events have one implementation. Leaves fold into
+// the spine in index order, so at any moment exactly one aggregator per tier
+// is open per worker: O(depth·params) accumulator state plus one scratch
+// update vector, regardless of fleet size. No slice anywhere is proportional
+// to the number of clients — a client's spec, availability and update are
+// all recomputed on demand as pure functions of (seed, index, round), the
+// same order-independent hash construction the chaos plane uses
+// (Falafels-style discrete events over a BouquetFL-style heterogeneous
+// population).
 //
-// Speed is the other point. A round is sharded at a fixed tier of the tree
-// into independent subtrees, simulated concurrently on the internal/parallel
-// pool: each worker owns a pooled spine slice, scratch arena and partial-frame
-// buffers, so the leaf fold path allocates nothing per client. The shard
-// layout is a pure function of (Clients, Fanout) — never of the worker count —
-// and every per-shard draw is a pure function of (seed, index, round), so the
-// committed model, the stats and the ledger are byte-identical at any
-// GOMAXPROCS or -workers setting. Shard results merge through a single-
-// threaded sequencer that replays buffered per-shard ledger events in DFS
-// order, which keeps the journal byte-identical to the serial walk too.
+// A round is sharded at a fixed tier of the tree into independent subtrees,
+// simulated concurrently on the internal/parallel pool: each worker owns a
+// pooled spine (leaves up to the shard tier) and scratch arena, so the leaf
+// fold path allocates nothing per client, and each shard leaves its decoded
+// partial frame in its indexed result slot. The shard layout is a pure
+// function of (Clients, Fanout) — never of the worker count — and every
+// per-shard draw is a pure function of (seed, index, round), so the committed
+// model, the stats and the ledger are byte-identical at any GOMAXPROCS or
+// -workers setting. A single-threaded merge then feeds the shard partials, in
+// shard index order, into a second spine that starts at the tier above the
+// shards and closes up to the root; it replays each shard's buffered ledger
+// events as it goes, which keeps the journal byte-identical to a serial walk
+// too.
 //
 // Because the fold arithmetic is exact (internal/exact), arrival order is
-// immaterial: folding children in index order as the DFS visits them is
-// bit-identical to folding them in completion-time order, and the committed
-// root model is bit-identical to a flat fold over the same survivors — the
-// property FlatRound exposes and the tests enforce.
+// immaterial: folding children in index order is bit-identical to folding
+// them in completion-time order, and the committed root model is
+// bit-identical to a flat fold over the same survivors — the property
+// FlatRound exposes and the tests enforce.
 package fleet
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"sync"
@@ -67,20 +72,6 @@ const wireOverheadBytes = 128
 // worker count. Layout depends only on (Clients, Fanout).
 const minShards = 32
 
-// updatePeriod is DefaultUpdate's combo period: scale cycles mod 7, shift
-// mod 5, weight mod 29 (pairwise coprime), so clients i and i+1015 run the
-// identical update. The fused engine exploits this by precomputing each
-// combo's exact limb decomposition once per round (exact.Decomp) and
-// replaying pure integer deltas per client — bit-identical by exactness.
-const updatePeriod = 7 * 5 * 29
-
-// Decomp-cache gates: only worth the memory (updatePeriod · dim · 12 B) when
-// each combo is replayed at least a few times and the cache stays modest.
-const (
-	decompMinClients = 4 * updatePeriod
-	decompMaxBytes   = 64 << 20
-)
-
 // UpdateFn computes client i's local update from the global model into out
 // (len(out) == len(global)) and returns its integer example count (≥ 1).
 // It MUST be a pure function of (i, global) — the simulator recomputes it at
@@ -91,20 +82,11 @@ type UpdateFn func(i int, global, out []float64) int
 // DefaultUpdate is a deterministic synthetic workload: an affine map whose
 // scale and shift vary per client, matching the in-process scale harness.
 func DefaultUpdate(i int, global, out []float64) int {
-	scale, shift, weight := defaultUpdateParams(i)
+	scale, shift := 1+float64(i%7)/8, float64(i%5)/16
 	for j, v := range global {
 		out[j] = v*scale + shift
 	}
-	return int(weight)
-}
-
-// defaultUpdateParams returns the affine coefficients and weight DefaultUpdate
-// uses for client i. The engine's fused fold path (exact.AddScaledAffine,
-// taken when Config.Update is left nil) reads the same coefficients, so the
-// two paths stay in lockstep; TestFusedDefaultUpdateMatchesGeneric pins the
-// bit-identity.
-func defaultUpdateParams(i int) (scale, shift float64, weight int64) {
-	return 1 + float64(i%7)/8, float64(i%5) / 16, int64(1 + i%29)
+	return 1 + i%29
 }
 
 // Config shapes one simulated fleet.
@@ -250,30 +232,26 @@ func (s *RoundStats) accumulate(o *RoundStats) {
 	s.EnergyJ += o.EnergyJ
 }
 
+// addTree folds a spine run's tier traffic and quorum losses into s.
+func (s *RoundStats) addTree(t fl.TreeStats) {
+	s.Partials += t.Partials
+	s.WireBytes += t.WireBytes
+	s.SubtreeDrops += t.SubtreeDrops
+	s.SubtreeDropLeaves += t.DropLeaves
+}
+
 // Engine simulates rounds over one fleet. Not safe for concurrent use (one
 // RunRound at a time; the engine parallelizes internally).
 type Engine struct {
 	cfg      Config
-	depth    int // root aggregator tier; spine holds tiers 0..depth
+	depth    int // root aggregator tier; the root accumulator sits above it
 	deadline float64
 	hasFault bool // false when cfg.Fault is the NopPolicy: skip Decide entirely
-	// fused marks the default synthetic workload: the leaf fold runs the
-	// affine update inside the exact decomposition loop (AddScaledAffine)
-	// instead of materializing a scratch vector per client.
-	fused bool
-	// decomps, when non-nil, is the fused path's per-round decomposition
-	// cache: entry k memoizes combo k's exact limb deltas against the current
-	// global model (refreshed at the top of RunRound, then read-only across
-	// workers). FlatRound deliberately ignores it, so the oracle exercises an
-	// independent fold path.
-	decomps []exact.Decomp
 	// chaosMid caches the availability draws' hash prefix for ChaosSeed.
 	chaosMid faultinject.FleetSeedMid
 
 	global []float64
 	sum    []float64
-
-	rootVec *exact.Vec
 
 	// Shard layout — a pure function of (Clients, Fanout). Tier shardTier
 	// subtrees (shardSpan leaves each) are the unit of parallel work.
@@ -282,12 +260,12 @@ type Engine struct {
 	numShards int
 	shardOuts []shardOut
 
-	// mergeCtx walks tiers shardTier+1..depth single-threaded, fetching
-	// shard results in index order; worker contexts (pooled in ctxFree) walk
-	// tiers 0..shardTier inside one shard.
-	mergeCtx *simCtx
-	ctxMu    sync.Mutex
-	ctxFree  []*simCtx
+	// merge folds the shard partials from tier shardTier+1 up to the root,
+	// single-threaded; worker contexts (pooled in ctxFree) each fold one
+	// shard's leaves up to tier shardTier.
+	merge   *fl.TreeFold
+	ctxMu   sync.Mutex
+	ctxFree []*simCtx
 
 	// shardRunner overrides shard dispatch; tests inject seeded permutations
 	// of shard completion order here. nil dispatches on the parallel pool.
@@ -302,28 +280,18 @@ type Engine struct {
 // New validates the config and builds an engine with a deterministic initial
 // model.
 func New(cfg Config) (*Engine, error) {
-	fused := cfg.Update == nil
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	depth := 0
-	for spanPow(cfg.Fanout, depth+1, cfg.Clients) < cfg.Clients {
-		depth++
-	}
+	depth := fl.TreeDepth(cfg.Fanout, cfg.Clients)
 	e := &Engine{
-		cfg:     cfg,
-		depth:   depth,
-		global:  make([]float64, cfg.Dim),
-		sum:     make([]float64, cfg.Dim),
-		rootVec: exact.NewVec(cfg.Dim),
+		cfg:    cfg,
+		depth:  depth,
+		global: make([]float64, cfg.Dim),
+		sum:    make([]float64, cfg.Dim),
 	}
 	_, nop := cfg.Fault.(faultinject.NopPolicy)
 	e.hasFault = !nop
-	e.fused = fused
-	if fused && cfg.Clients >= decompMinClients &&
-		updatePeriod*cfg.Dim*12 <= decompMaxBytes {
-		e.decomps = make([]exact.Decomp, updatePeriod)
-	}
 	e.chaosMid = faultinject.NewFleetSeedMid(cfg.ChaosSeed)
 	for j := range e.global {
 		e.global[j] = float64(j%17)/16 + 0.5
@@ -350,15 +318,21 @@ func New(cfg Config) (*Engine, error) {
 	e.numShards = (cfg.Clients + e.shardSpan - 1) / e.shardSpan
 	e.shardOuts = make([]shardOut, e.numShards)
 
-	e.mergeCtx = &simCtx{
-		e: e, floor: e.shardTier, fetch: e.fetchShard,
-		direct: true, stats: &e.stats,
-		spine: make([]*exact.Vec, depth+1),
+	// The merge runs single-threaded in shard index order, so it journals
+	// straight into the ledger.
+	var journal func(ledger.Event)
+	if cfg.Ledger != nil {
+		journal = cfg.Ledger.Append
 	}
-	for t := e.shardTier + 1; t <= depth; t++ {
-		e.mergeCtx.spine[t] = exact.NewVec(cfg.Dim)
-	}
+	e.merge = e.newSpine(journal)
 	return e, nil
+}
+
+// newSpine builds a tier spine over the fleet's model. Its sink is obs.Nop:
+// the engine reports whole-round metrics, not per-close ones.
+func (e *Engine) newSpine(journal func(ledger.Event)) *fl.TreeFold {
+	return fl.NewTreeFold(fl.TreeConfig{Fanout: e.cfg.Fanout, TierQuorum: e.cfg.TierQuorum},
+		e.cfg.Dim, e.cfg.TierLatencySeconds, obs.Nop, journal)
 }
 
 // Depth returns the root aggregator tier (leaves fold into tier 0).
@@ -412,62 +386,41 @@ type leafResult struct {
 	completeAt float64 // seconds after round start the update arrives
 }
 
-// nodeResult is one aggregator subtree's outcome.
-type nodeResult struct {
-	ok         bool
-	sum        exact.Serialized
-	weight     int64
-	survivors  int
-	completeAt float64
-}
-
-// shardOut is one shard's slot in the indexed result array: its subtree
-// result (sum deep-copied out of the worker context), its stats partial and
-// its buffered ledger events. Slots are reused across rounds, so steady-state
+// shardOut is one shard's slot in the indexed result array: the partial its
+// subtree shipped (decoded by the worker, so the serial merge only absorbs),
+// when that result reached the shard tier's parent, its stats partial and its
+// buffered ledger events. Slots are reused across rounds, so steady-state
 // shard dispatch allocates nothing.
 type shardOut struct {
-	res    nodeResult
-	sum    exact.Serialized
-	stats  RoundStats
-	events []ledger.Event
-	err    error
+	partial fl.PartialAggregate
+	shipped bool
+	at      float64
+	stats   RoundStats
+	events  []ledger.Event
+	err     error
 }
 
-// simCtx is one simulation walker: a spine slice, a scratch update arena and
-// pooled partial-frame codec state. Worker contexts (floor -1 … fetch nil)
-// run a whole shard subtree; the engine's single merge context intercepts
-// tier `floor` node visits and fetches the corresponding shard slot instead,
-// appending ledger events directly (`direct`) since it runs single-threaded
-// in DFS order.
+// simCtx is one shard worker: a tier spine over leaves up to the shard tier,
+// a scratch update arena, and the shard slot it is filling.
 type simCtx struct {
 	e       *Engine
-	spine   []*exact.Vec // indexed by tier; merge ctx leaves ≤ floor nil
+	spine   *fl.TreeFold
 	scratch []float64
-	buf     bytes.Buffer
-	ser     exact.Serialized
-	dec     fl.PartialAggregate
-
-	floor  int
-	fetch  func(lo int) nodeResult
-	direct bool
-
-	stats  *RoundStats
-	events []ledger.Event
-	err    error
+	stats   *RoundStats
+	out     *shardOut
 }
 
-// newWorkerCtx builds a context able to simulate one shard (tiers
-// 0..shardTier plus leaves).
+// newWorkerCtx builds a context able to simulate one shard. Its spine
+// buffers ledger events in the shard slot; the merge replays them in shard
+// index order, so the journal is byte-identical to a serial walk at any
+// worker count.
 func (e *Engine) newWorkerCtx() *simCtx {
-	c := &simCtx{
-		e:       e,
-		spine:   make([]*exact.Vec, e.shardTier+1),
-		scratch: make([]float64, e.cfg.Dim),
-		floor:   -1,
+	c := &simCtx{e: e, scratch: make([]float64, e.cfg.Dim)}
+	var journal func(ledger.Event)
+	if e.cfg.Ledger != nil {
+		journal = func(ev ledger.Event) { c.out.events = append(c.out.events, ev) }
 	}
-	for t := range c.spine {
-		c.spine[t] = exact.NewVec(e.cfg.Dim)
-	}
+	c.spine = e.newSpine(journal)
 	return c
 }
 
@@ -487,29 +440,6 @@ func (e *Engine) putCtx(c *simCtx) {
 	e.ctxMu.Lock()
 	e.ctxFree = append(e.ctxFree, c)
 	e.ctxMu.Unlock()
-}
-
-func (c *simCtx) fail(err error) {
-	if c.direct {
-		c.e.fail(err)
-	} else if c.err == nil {
-		c.err = err
-	}
-}
-
-// ledgerAppend journals ev: directly for the merge context (it already runs
-// in canonical DFS order), buffered for worker contexts — the merge phase
-// replays shard buffers in shard index order, so the journal is byte-
-// identical to the serial walk at any worker count.
-func (c *simCtx) ledgerAppend(ev ledger.Event) {
-	if c.e.cfg.Ledger == nil {
-		return
-	}
-	if c.direct {
-		c.e.cfg.Ledger.Append(ev)
-	} else {
-		c.events = append(c.events, ev)
-	}
 }
 
 // simulateLeaf prices client i's round: availability and chaos draws, then
@@ -555,125 +485,44 @@ func (c *simCtx) simulateLeaf(i int) leafResult {
 	return leafResult{ok: true, completeAt: total}
 }
 
-// simulateNode runs the tier-t aggregator covering leaves [lo, hi) and every
-// subtree below it, depth-first. The tier's spine accumulator is reused by
-// every node of the tier in turn — the DFS guarantees at most one is open per
-// context. On the merge context, visits at the shard tier resolve to the
-// precomputed shard slots instead of recursing.
-func (c *simCtx) simulateNode(t, lo, hi int) nodeResult {
-	if t == c.floor && c.fetch != nil {
-		return c.fetch(lo)
+// foldLeaf simulates client i and folds its update into the spine's tier 0.
+func (c *simCtx) foldLeaf(i int) {
+	lr := c.simulateLeaf(i)
+	if !lr.ok {
+		return
 	}
 	e := c.e
-	vec := c.spine[t]
-	vec.Reset()
-	var weight int64
-	arrived, attempted, survivors := 0, 0, 0
-	latest := 0.0
-	childSpan := spanPow(e.cfg.Fanout, t, e.cfg.Clients)
-	for clo := lo; clo < hi; clo += childSpan {
-		attempted++
-		if t == 0 {
-			lr := c.simulateLeaf(clo)
-			if !lr.ok {
-				continue
-			}
-			var w int64
-			if e.fused {
-				scale, shift, fw := defaultUpdateParams(clo)
-				if e.decomps != nil {
-					vec.AddDecomp(&e.decomps[clo%updatePeriod])
-				} else {
-					vec.AddScaledAffine(float64(fw), scale, shift, e.global)
-				}
-				w = fw
-			} else {
-				w = int64(e.cfg.Update(clo, e.global, c.scratch))
-				if w < 1 {
-					c.fail(fmt.Errorf("fleet: client %d returned weight %d < 1", clo, w))
-					continue
-				}
-				vec.AddScaled(float64(w), c.scratch)
-			}
-			weight += w
-			arrived++
-			survivors++
-			if lr.completeAt > latest {
-				latest = lr.completeAt
-			}
-			continue
+	w := e.cfg.Update(i, e.global, c.scratch)
+	if w < 1 {
+		if c.out.err == nil {
+			c.out.err = fmt.Errorf("fleet: client %d returned weight %d < 1", i, w)
 		}
-		chi := clo + childSpan
-		if chi > hi {
-			chi = hi
-		}
-		res := c.simulateNode(t-1, clo, chi)
-		if res.completeAt > latest {
-			latest = res.completeAt
-		}
-		if !res.ok {
-			continue
-		}
-		if err := vec.Absorb(res.sum); err != nil {
-			c.fail(fmt.Errorf("fleet: tier %d absorb: %w", t, err))
-			continue
-		}
-		weight += res.weight
-		arrived++
-		survivors += res.survivors
+		return
 	}
+	c.spine.Leaf(float64(w), c.scratch, int64(w), lr.completeAt)
+}
 
-	node := lo / spanPow(e.cfg.Fanout, t+1, e.cfg.Clients)
-	required := 0
-	if e.cfg.TierQuorum > 0 {
-		required = int(math.Ceil(e.cfg.TierQuorum * float64(attempted)))
+// runShard simulates shard s — its leaves in index order, folded up to the
+// shard tier — into the shard's result slot.
+func (c *simCtx) runShard(s int) {
+	e := c.e
+	out := &e.shardOuts[s]
+	out.stats, out.events, out.err = RoundStats{}, out.events[:0], nil
+	c.stats, c.out = &out.stats, out
+	lo := s * e.shardSpan
+	hi := min(lo+e.shardSpan, e.cfg.Clients)
+	c.spine.Reset(e.round, e.tc, e.cfg.Clients, lo, 0, e.shardTier)
+	for i := lo; i < hi; i++ {
+		c.foldLeaf(i)
+		c.spine.Advance(i)
 	}
-	if arrived == 0 || arrived < required {
-		if required > 0 && arrived < required {
-			c.stats.SubtreeDrops++
-			c.stats.SubtreeDropLeaves += survivors
-			c.ledgerAppend(ledger.Event{
-				Kind: ledger.KindSubtreeDrop, Round: e.round, TraceID: e.tc.TraceID,
-				Tier: t, Node: node, Survivors: arrived, Selected: attempted,
-				Detail: fmt.Sprintf("quorum %d/%d", arrived, required),
-			})
-		}
-		return nodeResult{completeAt: latest}
+	out.shipped = c.spine.Partial(&out.partial)
+	out.at = c.spine.CompleteAt()
+	out.stats.addTree(c.spine.Stats())
+	if out.err == nil {
+		out.err = c.spine.Err()
 	}
-
-	// Ship the partial through the real wire path: the bytes a distributed
-	// tier deployment would move are the bytes we account. Serialize target,
-	// frame buffer and decode target are all pooled on the context, so a
-	// node close allocates nothing in steady state. The decoded sum aliases
-	// c.dec and is consumed (absorbed or copied) before the next close.
-	vec.SerializeInto(&c.ser)
-	pa := fl.PartialAggregate{
-		Round: e.round, Tier: t, Node: node,
-		LeafLo: lo, LeafHi: hi - 1,
-		Survivors: survivors, Weight: weight,
-		Sum: c.ser, Trace: e.tc,
-	}
-	c.buf.Reset()
-	if err := fl.EncodePartialAggregate(&c.buf, pa); err != nil {
-		c.fail(fmt.Errorf("fleet: tier %d node %d encode: %w", t, node, err))
-		return nodeResult{completeAt: latest}
-	}
-	wire := int64(c.buf.Len())
-	if err := fl.DecodePartialAggregateInto(&c.buf, &c.dec); err != nil {
-		c.fail(fmt.Errorf("fleet: tier %d node %d decode: %w", t, node, err))
-		return nodeResult{completeAt: latest}
-	}
-	c.stats.Partials++
-	c.stats.WireBytes += wire
-	c.ledgerAppend(ledger.Event{
-		Kind: ledger.KindPartial, Round: e.round, TraceID: e.tc.TraceID,
-		Tier: t, Node: node, Survivors: arrived, Selected: attempted,
-		Weight: weight, WireTxBytes: wire,
-	})
-	return nodeResult{
-		ok: true, sum: c.dec.Sum, weight: c.dec.Weight, survivors: survivors,
-		completeAt: latest + e.cfg.TierLatencySeconds,
-	}
+	c.stats, c.out = nil, nil
 }
 
 func (e *Engine) fail(err error) {
@@ -692,32 +541,9 @@ func (e *Engine) ledgerAppend(ev ledger.Event) {
 // order is arbitrary (pool scheduling, or a test-injected permutation); the
 // indexed slots make the merge phase deterministic regardless.
 func (e *Engine) runShards() {
-	n := e.cfg.Clients
 	run := func(s int) {
 		ctx := e.getCtx()
-		out := &e.shardOuts[s]
-		out.stats = RoundStats{}
-		ctx.stats = &out.stats
-		ctx.events = out.events[:0]
-		ctx.err = nil
-		lo := s * e.shardSpan
-		hi := lo + e.shardSpan
-		if hi > n {
-			hi = n
-		}
-		res := ctx.simulateNode(e.shardTier, lo, hi)
-		if res.ok {
-			// res.sum aliases ctx.dec; copy it into the shard's own slot so
-			// the context can move on to another shard.
-			copySerializedInto(&out.sum, res.sum)
-			res.sum = out.sum
-		} else {
-			res.sum = exact.Serialized{}
-		}
-		out.res = res
-		out.events = ctx.events
-		out.err = ctx.err
-		ctx.stats, ctx.events, ctx.err = nil, nil, nil
+		ctx.runShard(s)
 		e.putCtx(ctx)
 	}
 	if e.shardRunner != nil {
@@ -731,35 +557,30 @@ func (e *Engine) runShards() {
 	})
 }
 
-// fetchShard is the merge context's shard-tier resolver: it folds shard
-// lo/shardSpan's stats into the round stats, replays its buffered ledger
-// events (the deterministic sequencer — merge order is DFS order, whatever
-// order the shards completed in), surfaces its first error and returns its
-// subtree result.
-func (e *Engine) fetchShard(lo int) nodeResult {
-	out := &e.shardOuts[lo/e.shardSpan]
-	if out.err != nil {
-		e.fail(out.err)
-	}
-	e.stats.accumulate(&out.stats)
-	if e.cfg.Ledger != nil {
-		for _, ev := range out.events {
-			e.cfg.Ledger.Append(ev)
+// mergeShards is the deterministic sequencer: in shard index order — whatever
+// order the shards completed in — it surfaces each shard's first error, folds
+// its stats into the round stats, replays its buffered ledger events and
+// feeds its partial to the merge spine, which closes the tiers above the
+// shards up to the root.
+func (e *Engine) mergeShards() {
+	n := e.cfg.Clients
+	m := e.merge
+	m.Reset(e.round, e.tc, n, 0, e.shardTier+1, e.depth)
+	for s := range e.shardOuts {
+		out := &e.shardOuts[s]
+		if out.err != nil {
+			e.fail(out.err)
 		}
-	}
-	return out.res
-}
-
-// copySerializedInto deep-copies src into dst, reusing dst.Limbs capacity.
-func copySerializedInto(dst *exact.Serialized, src exact.Serialized) {
-	limbs := dst.Limbs[:0]
-	if cap(limbs) < len(src.Limbs) {
-		limbs = make([]uint64, 0, len(src.Limbs))
-	}
-	*dst = src
-	dst.Limbs = append(limbs, src.Limbs...)
-	if src.Specials != nil {
-		dst.Specials = append([]uint8(nil), src.Specials...)
+		e.stats.accumulate(&out.stats)
+		for _, ev := range out.events {
+			e.ledgerAppend(ev)
+		}
+		var child *fl.PartialAggregate
+		if out.shipped {
+			child = &out.partial
+		}
+		m.Child(child, out.at)
+		m.Advance(min((s+1)*e.shardSpan, n) - 1)
 	}
 }
 
@@ -782,47 +603,39 @@ func (e *Engine) RunRound() (RoundStats, error) {
 		Selected: n, Deadline: e.deadline,
 	})
 
-	if e.decomps != nil {
-		// Refresh the combo cache against this round's model before the
-		// workers start: single-threaded here, read-only during the fan-out.
-		for k := range e.decomps {
-			scale, shift, w := defaultUpdateParams(k)
-			e.decomps[k].From(float64(w), scale, shift, e.global)
-		}
-	}
 	e.runShards()
-	root := e.mergeCtx.simulateNode(e.depth, 0, n)
+	e.mergeShards()
+	root, weight, survivors := e.merge.Root()
+	e.stats.addTree(e.merge.Stats())
+	if e.err == nil {
+		e.err = e.merge.Err()
+	}
 	if e.err != nil {
 		e.abort(e.err.Error())
 		return e.stats, e.err
 	}
 	required := int(math.Ceil(e.cfg.Quorum * float64(n)))
 	switch {
-	case !root.ok || root.weight == 0:
+	case weight == 0:
 		err := fmt.Errorf("fleet: round %d: no surviving aggregate", e.round)
 		e.abort(err.Error())
 		return e.stats, err
-	case root.survivors < required:
-		err := fmt.Errorf("fleet: round %d: %d survivors below quorum %d", e.round, root.survivors, required)
+	case survivors < required:
+		err := fmt.Errorf("fleet: round %d: %d survivors below quorum %d", e.round, survivors, required)
 		e.abort(err.Error())
 		return e.stats, err
 	}
 
-	e.rootVec.Reset()
-	if err := e.rootVec.Absorb(root.sum); err != nil {
-		e.abort(err.Error())
-		return e.stats, fmt.Errorf("fleet: round %d: root absorb: %w", e.round, err)
-	}
-	e.rootVec.RoundTo(e.sum)
-	tw := float64(root.weight)
+	root.RoundTo(e.sum)
+	tw := float64(weight)
 	for j := range e.global {
 		e.global[j] = e.sum[j] / tw
 	}
 
-	e.stats.Survivors = root.survivors
-	e.stats.Dropped = n - root.survivors
-	e.stats.TotalWeight = root.weight
-	e.stats.VirtualSeconds = root.completeAt + e.cfg.TierLatencySeconds
+	e.stats.Survivors = survivors
+	e.stats.Dropped = n - survivors
+	e.stats.TotalWeight = weight
+	e.stats.VirtualSeconds = e.merge.CompleteAt() + e.cfg.TierLatencySeconds
 	e.cfg.Clock.Advance(time.Duration(e.stats.VirtualSeconds * float64(time.Second)))
 
 	e.cfg.Sink.Count(obs.MetricFleetClients, float64(n))
@@ -832,7 +645,7 @@ func (e *Engine) RunRound() (RoundStats, error) {
 	e.cfg.Sink.Count(obs.MetricFleetDropped, float64(e.stats.Dropped))
 	e.ledgerAppend(ledger.Event{
 		Kind: ledger.KindCommit, Round: e.round, TraceID: e.tc.TraceID,
-		Selected: n, Survivors: root.survivors, Weight: root.weight,
+		Selected: n, Survivors: survivors, Weight: weight,
 		LatencySeconds: e.stats.VirtualSeconds, EnergyJoules: e.stats.EnergyJ,
 	})
 	return e.stats, nil
@@ -857,10 +670,7 @@ func (e *Engine) FlatRound() ([]float64, int64, error) {
 	e.round++
 	e.stats = RoundStats{}
 	e.err = nil
-	ctx := &simCtx{
-		e: e, scratch: make([]float64, e.cfg.Dim),
-		floor: -1, stats: &e.stats,
-	}
+	ctx := &simCtx{e: e, scratch: make([]float64, e.cfg.Dim), stats: &e.stats}
 
 	acc := exact.NewVec(e.cfg.Dim)
 	var weight int64
@@ -869,18 +679,11 @@ func (e *Engine) FlatRound() ([]float64, int64, error) {
 		if !lr.ok {
 			continue
 		}
-		var w int64
-		if e.fused {
-			scale, shift, fw := defaultUpdateParams(i)
-			acc.AddScaledAffine(float64(fw), scale, shift, e.global)
-			w = fw
-		} else {
-			w = int64(e.cfg.Update(i, e.global, ctx.scratch))
-			if w < 1 {
-				return nil, 0, fmt.Errorf("fleet: client %d returned weight %d < 1", i, w)
-			}
-			acc.AddScaled(float64(w), ctx.scratch)
+		w := int64(e.cfg.Update(i, e.global, ctx.scratch))
+		if w < 1 {
+			return nil, 0, fmt.Errorf("fleet: client %d returned weight %d < 1", i, w)
 		}
+		acc.AddScaled(float64(w), ctx.scratch)
 		weight += w
 	}
 	if weight == 0 {

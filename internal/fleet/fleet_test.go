@@ -412,51 +412,6 @@ func TestSpanPow(t *testing.T) {
 	}
 }
 
-// TestFusedDefaultUpdateMatchesGeneric: leaving Config.Update nil selects the
-// fused fold (AddScaledAffine, plus the decomp cache at scale); setting it to
-// DefaultUpdate explicitly forces the generic scratch-vector path. Committed
-// model bits and stats must be identical — the fusion and the memoization are
-// pure implementation. Covers both the small (plain fused) and the
-// decomp-cached (Clients ≥ decompMinClients) regimes.
-func TestFusedDefaultUpdateMatchesGeneric(t *testing.T) {
-	for _, n := range []int{300, decompMinClients + 123} {
-		mk := func(u UpdateFn) *Engine {
-			e, err := New(Config{
-				Clients: n, Dim: 24, Fanout: 8, Jobs: 1, Seed: 21, Update: u,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return e
-		}
-		fused := mk(nil)
-		generic := mk(DefaultUpdate)
-		if fused.fused == false {
-			t.Fatal("nil Update did not select the fused path")
-		}
-		if generic.fused {
-			t.Fatal("explicit DefaultUpdate unexpectedly fused")
-		}
-		if wantCache := n >= decompMinClients; (fused.decomps != nil) != wantCache {
-			t.Fatalf("n=%d: decomp cache active=%v, want %v", n, fused.decomps != nil, wantCache)
-		}
-		for r := 0; r < 3; r++ {
-			sf, err := fused.RunRound()
-			if err != nil {
-				t.Fatalf("n=%d round %d fused: %v", n, r, err)
-			}
-			sg, err := generic.RunRound()
-			if err != nil {
-				t.Fatalf("n=%d round %d generic: %v", n, r, err)
-			}
-			bitsEqual(t, fused.Global(), generic.Global(), "fused vs generic model")
-			if sf != sg {
-				t.Fatalf("n=%d round %d stats diverge:\n%+v\n%+v", n, r, sf, sg)
-			}
-		}
-	}
-}
-
 // TestShardPermutationDeterminism is the scheduling-independence property
 // test: shards may complete in ANY order on ANY number of workers, and the
 // committed model bits, the round stats and the ledger JSONL bytes must all
@@ -543,8 +498,7 @@ func TestShardPermutationDeterminism(t *testing.T) {
 }
 
 // TestRoundAllocsPerClient pins the zero-alloc leaf path: a steady-state
-// 10k-client round (pools warm, decomp cache off at this size's Dim — the
-// cache itself is round-constant) must average far under one allocation per
+// 10k-client round (pools warm) must average far under one allocation per
 // client. The budget leaves headroom for pool churn under GC pressure while
 // still catching any per-client or per-partial allocation regression.
 func TestRoundAllocsPerClient(t *testing.T) {
@@ -556,7 +510,7 @@ func TestRoundAllocsPerClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for r := 0; r < 2; r++ { // warm pools and the decomp cache
+	for r := 0; r < 2; r++ { // warm the pools
 		if _, err := e.RunRound(); err != nil {
 			t.Fatal(err)
 		}
