@@ -29,9 +29,13 @@ package fl
 //     float32 — the common case for models trained in single precision and
 //     shipped through a float64 API — values are stored as 4-byte floats.
 //     Widening on decode reproduces the input bit-for-bit.
-//   - gzip: payloads at or above gzipThreshold are compressed. Model deltas
-//     with structure (zero runs, repeated exponents) shrink further; fully
-//     random mantissas cost a few header bytes and pass through.
+//   - gzip: payloads at or above gzipThreshold are compressed at
+//     gzip.BestSpeed (flate's fast encoder). Model deltas with structure
+//     (zero runs, repeated exponents) shrink further; where entropy coding
+//     saves too little — fully random mantissas — the encoder falls back to
+//     stored blocks, which cost a few framing bytes and inflate as a plain
+//     copy. The level is the encoder's choice alone: frames deflated at any
+//     level, such as the default level older peers send, decode unchanged.
 //
 // Frames are self-describing, so a binary-capable peer can decode any frame
 // a binary-capable encoder produces. Interop with JSON-only peers is handled
@@ -47,6 +51,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 
 	"bofl/internal/core"
@@ -155,7 +160,15 @@ func putBytes(p *[]byte) {
 	}
 }
 
-var gzipWriterPool = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
+// gzipLevel is the deflate level of every frame payload. BestSpeed beats the
+// default level on every payload the data plane ships: a sixth of the encode
+// time for a few percent of bytes (DESIGN §7), so it is not a knob.
+const gzipLevel = gzip.BestSpeed
+
+var gzipWriterPool = sync.Pool{New: func() any {
+	zw, _ := gzip.NewWriterLevel(io.Discard, gzipLevel) // a valid level never errors
+	return zw
+}}
 
 var gzipReaderPool = sync.Pool{New: func() any { return new(gzip.Reader) }}
 
@@ -195,22 +208,32 @@ func stageVec(vec []float64) (flags byte, payload []byte, release func(), err er
 	}
 	payload = *raw
 	if len(payload) >= gzipThreshold {
-		comp := getBuf()
-		zw := gzipWriterPool.Get().(*gzip.Writer)
-		zw.Reset(comp)
-		_, werr := zw.Write(payload)
-		cerr := zw.Close()
-		gzipWriterPool.Put(zw)
-		if werr != nil || cerr != nil {
-			putBuf(comp)
+		comp, err := deflate(payload)
+		if err != nil {
 			putBytes(raw)
-			return 0, nil, func() {}, fmt.Errorf("fl: gzip frame payload: %w", firstErr(werr, cerr))
+			return 0, nil, func() {}, fmt.Errorf("fl: gzip frame payload: %w", err)
 		}
 		flags |= flagGzip
 		payload = comp.Bytes()
 		return flags, payload, func() { putBuf(comp); putBytes(raw) }, nil
 	}
 	return flags, payload, func() { putBytes(raw) }, nil
+}
+
+// deflate gzips payload at gzipLevel into a pooled buffer the caller returns
+// with putBuf.
+func deflate(payload []byte) (*bytes.Buffer, error) {
+	comp := getBuf()
+	zw := gzipWriterPool.Get().(*gzip.Writer)
+	zw.Reset(comp)
+	_, werr := zw.Write(payload)
+	cerr := zw.Close()
+	gzipWriterPool.Put(zw)
+	if err := firstErr(werr, cerr); err != nil {
+		putBuf(comp)
+		return nil, err
+	}
+	return comp, nil
 }
 
 // writeVecSection writes a staged vector section: count, payload length,
@@ -306,6 +329,85 @@ func firstErr(a, b error) error {
 	return b
 }
 
+// readGrow reads exactly n bytes from r into the pooled slice *p and returns
+// them. It fills the slice's existing capacity first, so a warm pool reads a
+// steady-state frame with no copy or allocation; past that capacity it grows
+// only as bytes arrive, doubling, so a frame whose length field lies costs
+// what its sender actually sent rather than what it claimed.
+func readGrow(r io.Reader, p *[]byte, n int) ([]byte, error) {
+	b := (*p)[:0]
+	for len(b) < n {
+		if len(b) == cap(b) {
+			b = slices.Grow(b, min(n-len(b), max(len(b), minReadGrow)))
+		}
+		m, err := r.Read(b[len(b):min(cap(b), n)])
+		b = b[:len(b)+m]
+		if err != nil && len(b) < n {
+			*p = b
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+	}
+	*p = b
+	return b, nil
+}
+
+// minReadGrow is the smallest step by which readGrow grows a full slice, and
+// so its first allocation when the pooled slice is empty.
+const minReadGrow = 32 << 10
+
+// inflate gunzips src into the pooled slice *dst, which must come out at
+// exactly n bytes, and returns the inflated bytes. Truncated or bit-flipped
+// streams surface as gzip header, short-inflate or checksum errors, all
+// wrapped in ErrCorruptFrame so the quarantine path can count them.
+func inflate(src []byte, dst *[]byte, n int) ([]byte, error) {
+	zr := gzipReaderPool.Get().(*gzip.Reader)
+	defer gzipReaderPool.Put(zr)
+	if err := zr.Reset(bytes.NewReader(src)); err != nil {
+		return nil, fmt.Errorf("%w: gzip payload: %w", ErrCorruptFrame, err)
+	}
+	raw, err := readGrow(zr, dst, n)
+	if err != nil {
+		return nil, fmt.Errorf("%w: inflate payload: %w", ErrCorruptFrame, err)
+	}
+	// The stream must end here, and its checksum must hold. The reader's
+	// error is sticky, so a checksum failure returned with the last bytes
+	// surfaces again on this read.
+	var one [1]byte
+	if m, err := zr.Read(one[:]); m != 0 {
+		return nil, fmt.Errorf("%w: payload inflates past %d declared bytes", ErrCorruptFrame, n)
+	} else if err != io.EOF {
+		return nil, fmt.Errorf("%w: inflate payload: %w", ErrCorruptFrame, err)
+	}
+	return raw, nil
+}
+
+// readPayload reads a vector section's payloadLen wire bytes into the pooled
+// slice *wire and returns the rawLen raw bytes they carry: the wire bytes
+// themselves, or for a gzip section their inflation into *inflated. The
+// caller releases both slices once it is done with the result.
+func readPayload(r io.Reader, gz bool, payloadLen uint32, rawLen int, wire, inflated *[]byte) ([]byte, error) {
+	if !gz {
+		if int(payloadLen) != rawLen {
+			return nil, fmt.Errorf("%w: payload %d bytes, want %d", ErrCorruptFrame, payloadLen, rawLen)
+		}
+	} else if int64(payloadLen) > int64(rawLen)+(64<<10) {
+		// gzip never expands beyond a small framing overhead; anything
+		// bigger is a length-field lie.
+		return nil, fmt.Errorf("%w: gzip payload %d bytes for %d raw", ErrCorruptFrame, payloadLen, rawLen)
+	}
+	raw, err := readGrow(r, wire, int(payloadLen))
+	if err != nil {
+		return nil, fmt.Errorf("%w: read payload: %w", ErrCorruptFrame, err)
+	}
+	if gz {
+		return inflate(raw, inflated, rawLen)
+	}
+	return raw, nil
+}
+
 // readVec reads one vector section (count, payload length, payload) under
 // the given section flags, validating every declared length before any
 // allocation.
@@ -323,43 +425,12 @@ func readVec(r io.Reader, flags byte) ([]float64, error) {
 	if flags&flagF32 != 0 {
 		elem = 4
 	}
-	rawLen := int(count) * elem
-	if flags&flagGzip == 0 {
-		if int(payloadLen) != rawLen {
-			return nil, fmt.Errorf("%w: payload %d bytes, want %d", ErrCorruptFrame, payloadLen, rawLen)
-		}
-	} else if int64(payloadLen) > int64(rawLen)+(64<<10) {
-		// gzip never expands beyond a small framing overhead; anything
-		// bigger is a length-field lie.
-		return nil, fmt.Errorf("%w: gzip payload %d bytes for %d raw", ErrCorruptFrame, payloadLen, rawLen)
-	}
-
-	payload := getBytes(int(payloadLen))
-	defer putBytes(payload)
-	if _, err := io.ReadFull(r, *payload); err != nil {
-		return nil, fmt.Errorf("%w: read payload: %w", ErrCorruptFrame, err)
-	}
-
-	raw := *payload
-	if flags&flagGzip != 0 {
-		// Truncated or bit-flipped gzip sections surface here as gzip.Reset,
-		// short-inflate or checksum errors — all corrupt-frame conditions, so
-		// the quarantine path can count them.
-		zr := gzipReaderPool.Get().(*gzip.Reader)
-		defer gzipReaderPool.Put(zr)
-		if err := zr.Reset(bytes.NewReader(*payload)); err != nil {
-			return nil, fmt.Errorf("%w: gzip payload: %w", ErrCorruptFrame, err)
-		}
-		inflated := getBytes(rawLen)
-		defer putBytes(inflated)
-		if _, err := io.ReadFull(zr, *inflated); err != nil {
-			return nil, fmt.Errorf("%w: inflate payload: %w", ErrCorruptFrame, err)
-		}
-		var one [1]byte
-		if n, _ := zr.Read(one[:]); n != 0 {
-			return nil, fmt.Errorf("%w: payload inflates past %d declared params", ErrCorruptFrame, count)
-		}
-		raw = *inflated
+	wire, inflated := bytesPool.Get().(*[]byte), bytesPool.Get().(*[]byte)
+	defer putBytes(wire)
+	defer putBytes(inflated)
+	raw, err := readPayload(r, flags&flagGzip != 0, payloadLen, int(count)*elem, wire, inflated)
+	if err != nil {
+		return nil, err
 	}
 
 	out := make([]float64, count)
@@ -395,12 +466,13 @@ func decodeFrame(r io.Reader, meta any) ([]float64, []float64, error) {
 	if metaLen > maxMetaBytes {
 		return nil, nil, fmt.Errorf("%w: meta %d bytes exceeds %d", ErrCorruptFrame, metaLen, maxMetaBytes)
 	}
-	mb := getBytes(int(metaLen))
-	defer putBytes(mb)
-	if _, err := io.ReadFull(r, *mb); err != nil {
+	mbp := bytesPool.Get().(*[]byte)
+	defer putBytes(mbp)
+	mb, err := readGrow(r, mbp, int(metaLen))
+	if err != nil {
 		return nil, nil, fmt.Errorf("%w: read meta: %w", ErrCorruptFrame, err)
 	}
-	if err := json.Unmarshal(*mb, meta); err != nil {
+	if err := json.Unmarshal(mb, meta); err != nil {
 		return nil, nil, fmt.Errorf("%w: decode meta: %w", ErrCorruptFrame, err)
 	}
 

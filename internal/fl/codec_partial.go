@@ -13,7 +13,6 @@ package fl
 
 import (
 	"bytes"
-	"compress/gzip"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -100,18 +99,12 @@ func EncodePartialAggregate(w io.Writer, pa PartialAggregate) error {
 		binary.LittleEndian.PutUint64((*raw)[i*8:], l)
 	}
 	payload := *raw
-	var comp *bytes.Buffer
 	if len(payload) >= gzipThreshold {
-		comp = getBuf()
-		defer putBuf(comp)
-		zw := gzipWriterPool.Get().(*gzip.Writer)
-		zw.Reset(comp)
-		_, werr := zw.Write(payload)
-		cerr := zw.Close()
-		gzipWriterPool.Put(zw)
-		if werr != nil || cerr != nil {
-			return fmt.Errorf("fl: gzip partial payload: %w", firstErr(werr, cerr))
+		comp, err := deflate(payload)
+		if err != nil {
+			return fmt.Errorf("fl: gzip partial payload: %w", err)
 		}
+		defer putBuf(comp)
 		flags |= flagGzip
 		payload = comp.Bytes()
 	}
@@ -181,19 +174,20 @@ func DecodePartialAggregateInto(r io.Reader, pa *PartialAggregate) error {
 	if metaLen > maxMetaBytes {
 		return fmt.Errorf("%w: meta %d bytes exceeds %d", ErrCorruptFrame, metaLen, maxMetaBytes)
 	}
-	mb := getBytes(int(metaLen))
-	defer putBytes(mb)
-	if _, err := io.ReadFull(r, *mb); err != nil {
+	mbp := bytesPool.Get().(*[]byte)
+	defer putBytes(mbp)
+	mb, err := readGrow(r, mbp, int(metaLen))
+	if err != nil {
 		return fmt.Errorf("%w: read meta: %w", ErrCorruptFrame, err)
 	}
 	meta := metaPool.Get().(*partialMeta)
 	defer metaPool.Put(meta)
 	*meta = partialMeta{TraceID: prevTrace.TraceID, SpanID: prevTrace.SpanID}
-	if !parsePartialMeta(*mb, meta) {
+	if !parsePartialMeta(mb, meta) {
 		// Non-canonical but possibly valid JSON (reordered fields, escapes,
 		// whitespace): let encoding/json be the arbiter.
 		*meta = partialMeta{}
-		if err := jsonUnmarshalMeta(*mb, meta); err != nil {
+		if err := jsonUnmarshalMeta(mb, meta); err != nil {
 			return err
 		}
 	}
@@ -206,37 +200,12 @@ func DecodePartialAggregateInto(r io.Reader, pa *PartialAggregate) error {
 	if count > maxFrameParams {
 		return fmt.Errorf("%w: claims %d limbs, limit %d", ErrCorruptFrame, count, maxFrameParams)
 	}
-	rawLen := int(count) * 8
-	if flags&flagGzip == 0 {
-		if int(payloadLen) != rawLen {
-			return fmt.Errorf("%w: payload %d bytes, want %d", ErrCorruptFrame, payloadLen, rawLen)
-		}
-	} else if int64(payloadLen) > int64(rawLen)+(64<<10) {
-		return fmt.Errorf("%w: gzip payload %d bytes for %d raw", ErrCorruptFrame, payloadLen, rawLen)
-	}
-
-	payload := getBytes(int(payloadLen))
-	defer putBytes(payload)
-	if _, err := io.ReadFull(r, *payload); err != nil {
-		return fmt.Errorf("%w: read payload: %w", ErrCorruptFrame, err)
-	}
-	raw := *payload
-	if flags&flagGzip != 0 {
-		zr := gzipReaderPool.Get().(*gzip.Reader)
-		defer gzipReaderPool.Put(zr)
-		if err := zr.Reset(bytes.NewReader(*payload)); err != nil {
-			return fmt.Errorf("%w: gzip payload: %w", ErrCorruptFrame, err)
-		}
-		inflated := getBytes(rawLen)
-		defer putBytes(inflated)
-		if _, err := io.ReadFull(zr, *inflated); err != nil {
-			return fmt.Errorf("%w: inflate payload: %w", ErrCorruptFrame, err)
-		}
-		var one [1]byte
-		if n, _ := zr.Read(one[:]); n != 0 {
-			return fmt.Errorf("%w: payload inflates past %d declared limbs", ErrCorruptFrame, count)
-		}
-		raw = *inflated
+	wire, inflated := bytesPool.Get().(*[]byte), bytesPool.Get().(*[]byte)
+	defer putBytes(wire)
+	defer putBytes(inflated)
+	raw, err := readPayload(r, flags&flagGzip != 0, payloadLen, int(count)*8, wire, inflated)
+	if err != nil {
+		return err
 	}
 
 	if cap(limbs) < int(count) {

@@ -3,6 +3,7 @@ package fl
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"testing"
 
 	"bofl/internal/exact"
@@ -98,53 +99,81 @@ func metaEqual(a, b partialMeta) bool {
 
 // TestPartialFrameCycleAllocs pins the pooled tier-close wire path: once the
 // codec pools are warm, a full SerializeInto → Encode → DecodeInto → Absorb
-// cycle — what every fleet aggregator runs per node close — must allocate at
-// most a handful of objects, independent of dim. The budget tolerates pool
-// churn under GC pressure while catching any per-frame regression (escaping
-// headers, metadata structs, trace strings).
+// cycle — what every tier aggregator runs per node close — must stay on
+// pooled state. Below gzipThreshold (dim 256, a fleet close) it allocates at
+// most a handful of objects; the budget tolerates pool churn under GC
+// pressure while catching any per-frame regression (escaping headers,
+// metadata structs, trace strings). At the round-http model's dim the frame
+// is gzipped, and compress/flate's inflater allocates per Huffman block, so
+// that cycle is bounded in bytes instead: under a quarter of the raw limb
+// payload, which a frame-sized buffer escaping its pool would exceed.
 func TestPartialFrameCycleAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector's sync.Pool drops Puts; alloc counts are meaningless")
 	}
-	const dim = 256
-	x := make([]float64, dim)
-	for i := range x {
-		x[i] = float64(i%17)/16 + 0.5
-	}
-	v := exact.NewVec(dim)
-	v.AddScaled(3, x)
-	parent := exact.NewVec(dim)
+	for _, tc := range []struct {
+		dim  int
+		gzip bool // the limb window reaches gzipThreshold
+		runs int
+	}{
+		{dim: 256, runs: 10},
+		{dim: 16_672, gzip: true, runs: 100},
+	} {
+		x := make([]float64, tc.dim)
+		for i := range x {
+			x[i] = float64(i%17)/16 + 0.5
+		}
+		v := exact.NewVec(tc.dim)
+		v.AddScaled(3, x)
+		parent := exact.NewVec(tc.dim)
 
-	var (
-		ser exact.Serialized
-		buf bytes.Buffer
-		dec PartialAggregate
-	)
-	cycle := func() {
-		v.SerializeInto(&ser)
-		pa := PartialAggregate{
-			Round: 1, Tier: 2, Node: 3, LeafLo: 0, LeafHi: 63,
-			Survivors: 60, Weight: 120, Sum: ser,
-			Trace: obs.TraceContext{TraceID: "0123456789abcdef0123456789abcdef", SpanID: "0123456789abcdef"},
+		var (
+			ser   exact.Serialized
+			buf   bytes.Buffer
+			dec   PartialAggregate
+			flags byte
+		)
+		cycle := func() {
+			v.SerializeInto(&ser)
+			pa := PartialAggregate{
+				Round: 1, Tier: 2, Node: 3, LeafLo: 0, LeafHi: 63,
+				Survivors: 60, Weight: 120, Sum: ser,
+				Trace: obs.TraceContext{TraceID: "0123456789abcdef0123456789abcdef", SpanID: "0123456789abcdef"},
+			}
+			buf.Reset()
+			if err := EncodePartialAggregate(&buf, pa); err != nil {
+				t.Fatal(err)
+			}
+			flags = buf.Bytes()[4]
+			if err := DecodePartialAggregateInto(&buf, &dec); err != nil {
+				t.Fatal(err)
+			}
+			parent.Reset()
+			if err := parent.Absorb(dec.Sum); err != nil {
+				t.Fatal(err)
+			}
 		}
-		buf.Reset()
-		if err := EncodePartialAggregate(&buf, pa); err != nil {
-			t.Fatal(err)
+		for i := 0; i < 3; i++ { // warm the byte/meta/gzip pools
+			cycle()
 		}
-		if err := DecodePartialAggregateInto(&buf, &dec); err != nil {
-			t.Fatal(err)
+		if got := flags&flagGzip != 0; got != tc.gzip {
+			t.Fatalf("dim %d: gzip flag %v, want %v", tc.dim, got, tc.gzip)
 		}
-		parent.Reset()
-		if err := parent.Absorb(dec.Sum); err != nil {
-			t.Fatal(err)
+
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		avg := testing.AllocsPerRun(tc.runs, cycle)
+		runtime.ReadMemStats(&after)
+		// AllocsPerRun makes one warm-up call before its runs.
+		perCycle := float64(after.TotalAlloc-before.TotalAlloc) / float64(tc.runs+1)
+		rawBytes := len(ser.Limbs) * 8
+		t.Logf("dim %d partial frame cycle: %.1f allocs, %.0f B (limb window %d B)", tc.dim, avg, perCycle, rawBytes)
+		if !tc.gzip && avg > 4 {
+			t.Fatalf("dim %d: pooled partial frame cycle allocates %.1f times, budget 4", tc.dim, avg)
 		}
-	}
-	for i := 0; i < 3; i++ { // warm the byte/meta/gzip pools
-		cycle()
-	}
-	avg := testing.AllocsPerRun(10, cycle)
-	t.Logf("partial frame cycle: %.1f allocs", avg)
-	if avg > 4 {
-		t.Fatalf("pooled partial frame cycle allocates %.1f times, budget 4", avg)
+		if tc.gzip && perCycle >= float64(rawBytes)/4 {
+			t.Fatalf("dim %d: gzipped partial frame cycle allocates %.0f B, budget a quarter of the %d B limb window",
+				tc.dim, perCycle, rawBytes)
+		}
 	}
 }

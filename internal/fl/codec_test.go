@@ -2,12 +2,16 @@ package fl
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -303,6 +307,57 @@ func TestCodecTruncatedGzip(t *testing.T) {
 	}
 }
 
+// TestCodecGzipChecksum flips single bits across gzipped payloads: an f64
+// model, whose deflate stream is stored blocks (a flipped data bit leaves the
+// stream well formed, so only gzip's CRC-32 can notice), and a partial
+// frame's Huffman-coded limb window. A flip may land on a bit the format
+// ignores (header timestamp, block padding) and decode unchanged; otherwise
+// it must fail ErrCorruptFrame, never decode to different values.
+func TestCodecGzipChecksum(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	params := make([]float64, 16_672)
+	for i := range params {
+		params[i] = rng.NormFloat64() * 0.05
+	}
+	var buf bytes.Buffer
+	if err := EncodeRoundRequest(&buf, sampleRequest(params)); err != nil {
+		t.Fatal(err)
+	}
+	frame := bytes.Clone(buf.Bytes())
+	if frame[4]&flagGzip == 0 {
+		t.Fatal("model frame did not take the gzip path")
+	}
+	payload := 17 + int(binary.LittleEndian.Uint32(frame[5:9]))
+	for off := payload; off < len(frame); off += 331 {
+		flipped := bytes.Clone(frame)
+		flipped[off] ^= 0x10
+		got, err := DecodeRoundRequest(bytes.NewReader(flipped))
+		if err != nil {
+			wantCorruptFrame(t, err, fmt.Sprintf("model bit flip at %d", off))
+		} else if !paramsEqual(got.Params, params) {
+			t.Fatalf("model bit flip at %d/%d decoded to different params without error", off, len(frame))
+		}
+	}
+
+	pa := bigPartial()
+	buf.Reset()
+	if err := EncodePartialAggregate(&buf, pa); err != nil {
+		t.Fatal(err)
+	}
+	frame = bytes.Clone(buf.Bytes())
+	payload = 17 + int(binary.LittleEndian.Uint32(frame[5:9]))
+	var dec PartialAggregate
+	for off := payload; off < len(frame); off += 331 {
+		flipped := bytes.Clone(frame)
+		flipped[off] ^= 0x10
+		if err := DecodePartialAggregateInto(bytes.NewReader(flipped), &dec); err != nil {
+			wantCorruptFrame(t, err, fmt.Sprintf("partial bit flip at %d", off))
+		} else if !reflect.DeepEqual(dec.Sum.Limbs, pa.Sum.Limbs) {
+			t.Fatalf("partial bit flip at %d/%d decoded to different limbs without error", off, len(frame))
+		}
+	}
+}
+
 // TestCodecWireSavings pins the acceptance bar: on a CNN-sized vector of
 // float32-valued weights (the realistic case — models train in single
 // precision), the frame must be at least 4× smaller than the JSON encoding.
@@ -413,6 +468,14 @@ func FuzzCodec(f *testing.F) {
 			flipped[at] ^= 0x01
 			f.Add(flipped)
 		}
+	}
+	// Frames deflated at gzip.DefaultCompression, as older peers send them:
+	// dynamic-Huffman streams the BestSpeed encoder no longer produces for
+	// these payloads.
+	{
+		_, _, _, frames := defaultLevelFrames(f)
+		f.Add(frames[0]) // request with an aux section
+		f.Add(frames[1]) // response, parsed as a request
 	}
 	// Hostile trace-context seeds: the codec is deliberately faithful to
 	// whatever trace strings were framed (sanitization is the HTTP handler's
@@ -636,5 +699,206 @@ func TestCodecAuxJSONFallback(t *testing.T) {
 	}
 	if gotResp.Steps != resp.Steps || !paramsEqual(gotResp.Aux, resp.Aux) {
 		t.Errorf("response JSON roundtrip: %+v vs %+v", gotResp, resp)
+	}
+}
+
+// regzipFrame re-deflates every gzip section of an encoded BFL1 frame (round
+// or partial) at the given level and fixes up the section lengths: the frame
+// a peer compressing at that level sends for the same values.
+func regzipFrame(tb testing.TB, frame []byte, level int) []byte {
+	tb.Helper()
+	metaLen := int(binary.LittleEndian.Uint32(frame[5:9]))
+	out := bytes.Clone(frame[:9+metaLen])
+	rest := frame[9+metaLen:]
+	section := func(flags byte) {
+		n := int(binary.LittleEndian.Uint32(rest[4:8]))
+		payload := rest[8 : 8+n]
+		if flags&flagGzip != 0 {
+			zr, err := gzip.NewReader(bytes.NewReader(payload))
+			if err != nil {
+				tb.Fatal(err)
+			}
+			raw, err := io.ReadAll(zr)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			var comp bytes.Buffer
+			zw, err := gzip.NewWriterLevel(&comp, level)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if _, err := zw.Write(raw); err != nil {
+				tb.Fatal(err)
+			}
+			if err := zw.Close(); err != nil {
+				tb.Fatal(err)
+			}
+			payload = comp.Bytes()
+		}
+		out = append(out, rest[:4]...) // count
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
+		out = append(out, payload...)
+		rest = rest[8+n:]
+	}
+	section(frame[4])
+	if frame[4]&flagAux != 0 {
+		aflags := rest[0]
+		out = append(out, aflags)
+		rest = rest[1:]
+		section(aflags)
+	}
+	return out
+}
+
+// defaultLevelFrames encodes a round request (f64 model plus a SCAFFOLD aux
+// vector), a round response (float32-valued weights) and a partial frame
+// (limb window with specials), all above gzipThreshold, then re-deflates each
+// at gzip.DefaultCompression — the level the encoder used before it moved to
+// BestSpeed, and the one older peers still send.
+func defaultLevelFrames(tb testing.TB) (req RoundRequest, resp RoundResponse, pa PartialAggregate, frames [3][]byte) {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(5))
+	model := make([]float64, 16_672) // the round-http MLP
+	for i := range model {
+		model[i] = rng.NormFloat64() * 0.05
+	}
+	aux := make([]float64, gzipThreshold/8+32)
+	for i := range aux {
+		aux[i] = 0.1 + float64(i%9)
+	}
+	weights := make([]float64, 20_000)
+	for i := range weights {
+		weights[i] = float64(float32(rng.NormFloat64() * 0.05))
+	}
+	req = auxRequest(model, aux)
+	resp = sampleResponse(weights)
+	resp.Steps = 13
+	pa = bigPartial()
+
+	var bufs [3]bytes.Buffer
+	if err := EncodeRoundRequest(&bufs[0], req); err != nil {
+		tb.Fatal(err)
+	}
+	if err := EncodeRoundResponse(&bufs[1], resp); err != nil {
+		tb.Fatal(err)
+	}
+	if err := EncodePartialAggregate(&bufs[2], pa); err != nil {
+		tb.Fatal(err)
+	}
+	for i := range bufs {
+		frame := bufs[i].Bytes()
+		if frame[4]&flagGzip == 0 {
+			tb.Fatalf("frame %d did not take the gzip path", i)
+		}
+		frames[i] = regzipFrame(tb, frame, gzip.DefaultCompression)
+		if bytes.Equal(frames[i], frame) {
+			tb.Fatalf("frame %d: default-level stream equals the BestSpeed one", i)
+		}
+	}
+	return req, resp, pa, frames
+}
+
+// TestCodecDecodesDefaultLevelFrames pins decoding of frames deflated at
+// gzip.DefaultCompression: the level is the encoder's choice alone, so the
+// decoders must return params, limbs and meta bit-identical to what the
+// older peer framed.
+func TestCodecDecodesDefaultLevelFrames(t *testing.T) {
+	req, resp, pa, frames := defaultLevelFrames(t)
+
+	gotReq, err := DecodeRoundRequest(bytes.NewReader(frames[0]))
+	if err != nil {
+		t.Fatalf("request: %v", err)
+	}
+	if !paramsEqual(gotReq.Params, req.Params) || !paramsEqual(gotReq.Aux, req.Aux) {
+		t.Error("request: vector sections differ")
+	}
+	gotReq.Params, gotReq.Aux, req.Params, req.Aux = nil, nil, nil, nil
+	if !reflect.DeepEqual(gotReq, req) {
+		t.Errorf("request meta: %+v, want %+v", gotReq, req)
+	}
+
+	gotResp, err := DecodeRoundResponse(bytes.NewReader(frames[1]))
+	if err != nil {
+		t.Fatalf("response: %v", err)
+	}
+	if !paramsEqual(gotResp.Params, resp.Params) || gotResp.Aux != nil {
+		t.Error("response: vector sections differ")
+	}
+	gotResp.Params, resp.Params = nil, nil
+	if !reflect.DeepEqual(gotResp, resp) {
+		t.Errorf("response meta: %+v, want %+v", gotResp, resp)
+	}
+
+	var gotPA PartialAggregate
+	if err := DecodePartialAggregateInto(bytes.NewReader(frames[2]), &gotPA); err != nil {
+		t.Fatalf("partial: %v", err)
+	}
+	if !reflect.DeepEqual(gotPA, pa) {
+		t.Errorf("partial: decoded frame differs (window [%d, %d) vs [%d, %d))",
+			gotPA.Sum.Lo, gotPA.Sum.Hi, pa.Sum.Lo, pa.Sum.Hi)
+	}
+}
+
+// hostileFrame builds a BFL1 frame with meta "{}" and one vector section that
+// declares count values and payloadLen bytes but carries only payload.
+func hostileFrame(flags byte, count, payloadLen uint32, payload []byte) []byte {
+	f := append(frameMagic[:4:4], flags)
+	f = binary.LittleEndian.AppendUint32(f, 2)
+	f = append(f, "{}"...)
+	f = binary.LittleEndian.AppendUint32(f, count)
+	f = binary.LittleEndian.AppendUint32(f, payloadLen)
+	return append(f, payload...)
+}
+
+// TestCodecHostileLengthAllocs sends each decoder short frames whose length
+// fields claim 2^26 float64 params (512 MiB): the decoders must grow their
+// buffers only as bytes arrive, so each frame fails ErrCorruptFrame having
+// allocated under 1 MB.
+func TestCodecHostileLengthAllocs(t *testing.T) {
+	const count = maxFrameParams
+	var gz bytes.Buffer
+	zw := gzip.NewWriter(&gz)
+	zw.Write(make([]byte, 16))
+	zw.Close()
+	short := gz.Bytes() // a sound gzip stream of 16 bytes
+
+	decodeRequest := func(f []byte) error { _, err := DecodeRoundRequest(bytes.NewReader(f)); return err }
+	decodeResponse := func(f []byte) error { _, err := DecodeRoundResponse(bytes.NewReader(f)); return err }
+	decodePartial := func(f []byte) error { _, err := DecodePartialAggregate(bytes.NewReader(f)); return err }
+	metaLie := hostileFrame(0, 0, 0, nil)
+	binary.LittleEndian.PutUint32(metaLie[5:9], maxMetaBytes)
+	auxLie := hostileFrame(flagAux, 1, 8, make([]byte, 8))
+	auxLie = append(auxLie, 0)
+	auxLie = binary.LittleEndian.AppendUint32(auxLie, count)
+	auxLie = binary.LittleEndian.AppendUint32(auxLie, count*8)
+	auxLie = append(auxLie, make([]byte, 9)...)
+
+	cases := []struct {
+		name   string
+		decode func([]byte) error
+		frame  []byte
+	}{
+		{"request", decodeRequest, hostileFrame(0, count, count*8, make([]byte, 9))},
+		{"request gzip", decodeRequest, hostileFrame(flagGzip, count, uint32(len(short)), short)},
+		{"request gzip length", decodeRequest, hostileFrame(flagGzip, count, count*8, short)},
+		{"request aux", decodeRequest, auxLie},
+		{"request meta", decodeRequest, metaLie},
+		{"response", decodeResponse, hostileFrame(0, count, count*8, make([]byte, 9))},
+		{"response gzip", decodeResponse, hostileFrame(flagGzip, count, uint32(len(short)), short)},
+		{"partial", decodePartial, hostileFrame(flagLimbs, count, count*8, make([]byte, 9))},
+		{"partial gzip", decodePartial, hostileFrame(flagLimbs|flagGzip, count, uint32(len(short)), short)},
+	}
+	for _, tc := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := tc.decode(tc.frame)
+		runtime.ReadMemStats(&after)
+		wantCorruptFrame(t, err, tc.name)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1e6 {
+			t.Errorf("%s: %d-byte frame allocated %d bytes, want < 1 MB", tc.name, len(tc.frame), alloc)
+		}
+	}
+	if n := len(cases[0].frame); n != 28 {
+		t.Errorf("plain hostile frame is %d bytes, want 28", n)
 	}
 }

@@ -16,8 +16,11 @@ package fl
 // partial-aggregate frame, and the parent absorbs it through the decoder —
 // the in-process tree exercises the identical wire path a distributed tier
 // deployment would, and the frame bytes are journaled per tier. The cycle
-// runs on pooled state (serialize target, frame buffer, decode target), so a
-// close allocates nothing in steady state. A spine may cover part of a tree:
+// runs on pooled state (serialize target, frame buffer, decode target), so
+// below gzipThreshold a close allocates nothing in steady state. A gzipped
+// window reuses the same pooled buffers, but compress/flate's inflater
+// allocates Huffman tables per block: a 533 kB round-http window costs about
+// 90 allocations and 7–40 kB per close. A spine may cover part of a tree:
 // it starts at an absolute leaf, takes its inputs at a base tier — leaves at
 // tier 0, or child partials above it — and closes groups up to a top tier.
 // The top group's frame is received by the caller: into the spine's root
