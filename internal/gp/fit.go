@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"bofl/internal/parallel"
@@ -40,6 +41,21 @@ type fitWS struct {
 	rbf   RBF
 	p     []float64
 	cand  []float64
+	// pairs holds the Matérn pair terms of the two most recently used
+	// lengthscale vectors; next is the slot the next miss overwrites.
+	pairs [2]maternPairs
+	next  int
+}
+
+// maternPairs holds, for one lengthscale vector over the workspace's
+// training inputs, every lower-triangle pair's Matérn-5/2 factors
+// 1 + √5r + 5r²/3 and exp(−√5r), interleaved in row order. Only the signal
+// variance multiplies them, so the coordinate descent's variance and noise
+// probes rebuild the Gram matrix with no sqrt or exp.
+type maternPairs struct {
+	ls    []float64
+	terms []float64
+	valid bool
 }
 
 var fitWSPool sync.Pool
@@ -49,6 +65,14 @@ func getFitWS(n, dim, nparams int) *fitWS {
 	if ws == nil {
 		ws = &fitWS{}
 	}
+	ws.reset(n, dim, nparams)
+	return ws
+}
+
+// reset sizes the workspace for n training points of dimension dim and
+// drops the cached pair terms: a pooled workspace moves between training
+// sets, and the terms belong to the inputs they were computed over.
+func (ws *fitWS) reset(n, dim, nparams int) {
 	if ws.chol == nil || cap(ws.chol.Data) < n*n {
 		ws.chol = &Matrix{Data: make([]float64, n*n)}
 	}
@@ -70,10 +94,78 @@ func getFitWS(n, dim, nparams int) *fitWS {
 	}
 	ws.p = ws.p[:nparams]
 	ws.cand = ws.cand[:nparams]
-	return ws
+	for s := range ws.pairs {
+		ws.pairs[s].valid = false
+	}
 }
 
 func putFitWS(ws *fitWS) { fitWSPool.Put(ws) }
+
+// gram fills the lower triangle of ws.chol bit-identically to
+// gramLowerInto(k, xs, noise, ws.chol). A Matérn kernel takes its pair
+// terms from the cache, computing them only for a lengthscale vector
+// neither slot holds.
+func (ws *fitWS) gram(k Kernel, xs [][]float64, noise float64) {
+	mk, ok := k.(*Matern52)
+	if !ok {
+		gramLowerInto(k, xs, noise, ws.chol)
+		return
+	}
+	terms := ws.pairTerms(mk.Lengthscales, xs)
+	v, diag := mk.Variance, noise*noise
+	data, stride := ws.chol.Data, ws.chol.Cols
+	for i := range xs {
+		row := data[i*stride : i*stride+i+1]
+		for j := 0; j < i; j++ {
+			// (v·poly)·ex, gramLowerInto's operation order.
+			row[j] = v * terms[0] * terms[1]
+			terms = terms[2:]
+		}
+		row[i] = v + diag
+	}
+}
+
+// pairTerms returns the Matérn pair terms of xs under lengthscales ls,
+// from the cache when a slot holds ls and freshly computed into the least
+// recently used slot otherwise. The arithmetic is gramLowerInto's, so the
+// terms are the exact factors it multiplies.
+func (ws *fitWS) pairTerms(ls []float64, xs [][]float64) []float64 {
+	for s := range ws.pairs {
+		if pc := &ws.pairs[s]; pc.valid && slices.Equal(pc.ls, ls) {
+			ws.next = 1 - s
+			return pc.terms
+		}
+	}
+	pc := &ws.pairs[ws.next]
+	ws.next = 1 - ws.next
+	n := len(xs)
+	pc.ls = append(pc.ls[:0], ls...)
+	if cap(pc.terms) < n*(n-1) {
+		pc.terms = make([]float64, n*(n-1))
+	}
+	pc.terms = pc.terms[:n*(n-1)]
+	var ilsBuf [maxStackDim]float64
+	ils := reciprocalsInto(ls, ilsBuf[:])
+	t := pc.terms
+	for i := 0; i < n; i++ {
+		xi := xs[i]
+		for j := 0; j < i; j++ {
+			xj := xs[j]
+			r2 := 0.0
+			for d := range ils {
+				dd := (xi[d] - xj[d]) * ils[d]
+				r2 += dd * dd
+			}
+			r := math.Sqrt(r2)
+			s5r := math.Sqrt(5) * r
+			t[0] = 1 + s5r + 5*r2/3
+			t[1] = math.Exp(-s5r)
+			t = t[2:]
+		}
+	}
+	pc.valid = true
+	return pc.terms
+}
 
 // fitLL evaluates the log marginal likelihood of (xs, ys) under the given
 // kernel and noise without constructing a Regressor: the same
@@ -90,13 +182,13 @@ func fitLL(kernel Kernel, noise float64, xs [][]float64, ys []float64, ws *fitWS
 	}
 
 	chol := ws.chol
-	gramLowerInto(kernel, xs, noise, chol)
+	ws.gram(kernel, xs, noise)
 	err := CholeskyInPlace(chol)
 	jitter, cumJitter := 1e-10, 0.0
 	for attempt := 0; err != nil && attempt < 7; attempt++ {
 		cumJitter += jitter
 		jitter *= 10
-		gramLowerInto(kernel, xs, noise, chol)
+		ws.gram(kernel, xs, noise)
 		for i := 0; i < n; i++ {
 			chol.Set(i, i, chol.At(i, i)+cumJitter)
 		}

@@ -2,22 +2,35 @@ package mobo
 
 import "math"
 
-// Float32 fast path for the EHVI candidate pre-screen (Options.Float32Prescreen).
+// Float32 pre-screen for the EHVI candidate scan, the scan SuggestBatch
+// always runs.
 //
 // The pre-screen scores every live candidate with float32 arithmetic and
-// polynomial approximations of exp/erfc (each accurate to ~1e-7 relative,
-// several times cheaper than the exact float64 library calls), keeps the
-// slice of candidates whose approximate score is within a factor of two of
-// the approximate maximum, and re-scores only that slice with the exact
-// float64 path. Selection then runs on exact float64 values with the usual
-// lowest-index-wins rule, so the picked candidates are bit-identical to a
-// pure-float64 scan — the approximation only decides how much of the
-// candidate set can be skipped, never which candidate wins. A factor-of-two
-// margin is orders of magnitude wider than the approximation error, and the
-// scan falls back to the full float64 path whenever the float32 maximum is
-// too small to trust (≈ underflow regime, where acquisition is effectively
-// exhausted). The determinism suite cross-checks prescreen and pure scans on
-// the real workload.
+// polynomial approximations of exp and erfc, keeps the slice of candidates
+// whose approximate score is within a factor of two of the approximate
+// maximum, and re-scores only that slice with the exact float64 path.
+// Selection then runs on exact float64 values with the usual
+// lowest-index-wins rule, so the picked candidates are bit-identical to the
+// all-float64 scan (suggestBatch's exact mode, kept as the tests' oracle):
+// the approximation only decides how much of the candidate set can be
+// skipped, never which candidate wins.
+//
+// The factor-of-two margin holds because every helper's error is relative,
+// not absolute, so it does not grow with the objectives' units. Measured
+// against the float64 twins (TestFloat32HelpersErrorGrid bounds them):
+//   - exp32: ≤ 3.3e-6 relative.
+//   - psi32 at t = (c − mu)/σ: ≤ 4.2e-7 for t ≥ 0, ≤ 1.7e-5 on [−2, 0) and
+//     ≤ 0.83% on [−4, −2), where A&S 7.1.26's absolute error starts to
+//     show; ≤ 0.05% on the left tail t ∈ [−13, −4), which a continued
+//     fraction computes without cancellation.
+//   - lognormalMoments32: mean ≤ 3.2e-6 and σ ≤ 5.6e-6 relative for
+//     log-space σ in [1e-6, 3], with e^(s²) − 1 taken from its series at
+//     small s² so the subtraction cannot cancel.
+//
+// The scan falls back to the full float64 path whenever the float32 maximum
+// is below prescreenMin, the exhaustion regime where scores sink towards
+// float32's subnormal range and exp32's flush to zero, and relative error
+// no longer holds.
 
 const (
 	invSqrt2f   float32 = 0.70710678118654752
@@ -25,8 +38,8 @@ const (
 )
 
 // exp32 is a range-reduced polynomial e^x: x = k·ln2 + r with |r| ≤ ln2/2,
-// e^x = 2^k · e^r, e^r by a degree-5 Taylor polynomial (absolute error
-// ≲ 3e-6 over the reduced interval, relative error ~1e-7 after scaling).
+// e^x = 2^k · e^r, e^r by a degree-5 Taylor polynomial (relative error
+// ≤ 3.3e-6, largest at the ends of the reduced interval).
 func exp32(x float32) float32 {
 	const (
 		log2e float32 = 1.4426950408889634
@@ -52,23 +65,9 @@ func exp32(x float32) float32 {
 	return p * math.Float32frombits(uint32(127+k)<<23)
 }
 
-// erfc32 approximates the complementary error function with the
-// Abramowitz–Stegun 7.1.26 rational polynomial (|ε| ≤ 1.5e-7 absolute).
-func erfc32(z float32) float32 {
-	neg := z < 0
-	if neg {
-		z = -z
-	}
-	t := 1 / (1 + 0.3275911*z)
-	poly := t * (0.254829592 + t*(-0.284496736+t*(1.421413741+t*(-1.453152027+t*1.061405429))))
-	e := poly * exp32(-z*z)
-	if neg {
-		return 2 - e
-	}
-	return e
-}
-
-// psi32 is psi (expected one-dimensional improvement below c) in float32.
+// psi32 is psi (expected one-dimensional improvement below c) in float32,
+// with one exp32 per call: e^(−t²/2) is both the normal density's factor and
+// the e^(−z²) factor of the complementary error function at z = |t|/√2.
 func psi32(c, mu, sigma float32) float32 {
 	if sigma <= 0 {
 		if d := c - mu; d > 0 {
@@ -77,18 +76,51 @@ func psi32(c, mu, sigma float32) float32 {
 		return 0
 	}
 	t := (c - mu) / sigma
-	cdf := 0.5 * erfc32(-t*invSqrt2f)
-	pdf := exp32(-0.5*t*t) * invSqrt2Pif
-	return sigma * (t*cdf + pdf)
+	e := exp32(-0.5 * t * t)
+	if t < -4 {
+		// Left tail, x = −t: tΦ(t) + φ(t) = φ(x)·(1 − x·R(x)) with R the
+		// Mills ratio. Its Laplace continued fraction R = 1/f₀,
+		// f_k = x + (k+1)/f_{k+1}, turns 1 − x·R into 1/(f₀·f₁), which
+		// has no cancellation; depth 4 keeps the relative error below 1%.
+		x := -t
+		f1 := x + 2/(x+3/(x+4/x))
+		f0 := x + 1/f1
+		return sigma * e * invSqrt2Pif / (f0 * f1)
+	}
+	// Abramowitz–Stegun 7.1.26 (|ε| ≤ 1.5e-7 absolute):
+	// Φ(−|t|) = ½·erfc(z) ≈ ½·poly(q)·e^(−z²), z = |t|/√2.
+	z := t * invSqrt2f
+	if z < 0 {
+		z = -z
+	}
+	q := 1 / (1 + 0.3275911*z)
+	poly := q * (0.254829592 + q*(-0.284496736+q*(1.421413741+q*(-1.453152027+q*1.061405429))))
+	cdf := 0.5 * poly * e
+	if t > 0 {
+		cdf = 1 - cdf
+	}
+	return sigma * (t*cdf + e*invSqrt2Pif)
 }
 
-// lognormalMoments32 is lognormalMoments in float32.
+// lognormalMoments32 is lognormalMoments in float32. Each σ is the mean
+// times √(e^(s²) − 1), since e^(2μ+s²) is the mean squared, so a candidate
+// costs four exp32; below s² = 0.01 the factor e^(s²) − 1 comes from its
+// series instead of a subtraction that would cancel.
 func lognormalMoments32(muE, sE, muT, sT float32) (mx, sx, my, sy float32) {
 	mx = exp32(muE + sE*sE/2)
-	vx := (exp32(sE*sE) - 1) * exp32(2*muE+sE*sE)
 	my = exp32(muT + sT*sT/2)
-	vy := (exp32(sT*sT) - 1) * exp32(2*muT+sT*sT)
-	return mx, float32(math.Sqrt(float64(vx))), my, float32(math.Sqrt(float64(vy)))
+	return mx, mx * sqrtExpm1(sE*sE), my, my * sqrtExpm1(sT*sT)
+}
+
+// sqrtExpm1 returns √(e^u − 1) for u ≥ 0.
+func sqrtExpm1(u float32) float32 {
+	var em1 float32
+	if u < 0.01 {
+		em1 = u * (1 + u/2*(1+u/3*(1+u/4)))
+	} else {
+		em1 = exp32(u) - 1
+	}
+	return float32(math.Sqrt(float64(em1)))
 }
 
 // ehviStrips32 is the float32 mirror of an EHVIStrips decomposition, laid

@@ -35,12 +35,6 @@ type Options struct {
 	Iters    int
 	// UseRBF switches the surrogate kernel (ablation).
 	UseRBF bool
-	// Float32Prescreen enables the float32 fast path for the EHVI candidate
-	// scan: candidates are scored with cheap float32 approximations first
-	// and only the top slice is re-scored with exact float64 arithmetic, so
-	// the selected candidates are bit-identical to the pure-float64 scan
-	// (see ehvi32.go for the soundness argument).
-	Float32Prescreen bool
 }
 
 // Optimizer is a multi-objective Bayesian optimizer over a fixed, finite
@@ -255,8 +249,18 @@ type Suggestion struct {
 // per-candidate cross-covariance caches (kernel work is done once per Fit,
 // then extended by one kernel evaluation per fantasy), and the reduction is
 // serial with an explicit lowest-index-wins rule on equal EHVI — parallel
-// and serial scans return identical suggestions.
+// and serial scans return identical suggestions. Each pick scores the
+// candidates with the float32 pre-screen and re-scores in float64 only the
+// slice that can win (ehvi32.go), so the suggestions are bit-identical to an
+// all-float64 scan.
 func (o *Optimizer) SuggestBatch(k int) ([]Suggestion, error) {
+	return o.suggestBatch(k, false)
+}
+
+// suggestBatch is SuggestBatch; exact scores every live candidate in
+// float64 instead of pre-screening, the reference the tests hold the
+// pre-screen to.
+func (o *Optimizer) suggestBatch(k int, exact bool) ([]Suggestion, error) {
 	if k <= 0 {
 		return nil, nil
 	}
@@ -310,16 +314,15 @@ func (o *Optimizer) SuggestBatch(k int) ([]Suggestion, error) {
 		// every candidate in O(n) instead of re-sorting per candidate.
 		strips := NewEHVIStrips(front, ref)
 		// Concurrent scan: every live candidate's posterior and EHVI land
-		// in per-index slots; no cross-worker state. The optional float32
-		// pre-screen narrows the exact float64 scoring to the top slice;
-		// either way vals holds exact float64 scores for every candidate
-		// that can win, so the serial reduction below is unaffected.
-		if o.opts.Float32Prescreen {
-			o.prescreenScan(sc, strips, cacheE, cacheT)
-		} else {
+		// in per-index slots; no cross-worker state. Either scan leaves
+		// exact float64 scores in vals for every candidate that can win,
+		// so the serial reduction below is unaffected.
+		if exact {
 			parallel.ForChunk(len(o.candidates), func(lo, hi int) {
 				scanEHVI(strips, cacheE, cacheT, live, vals, gs, lo, hi)
 			})
+		} else {
+			prescreenScan(sc, strips, cacheE, cacheT)
 		}
 		// Serial reduction, lowest candidate index wins on equal EHVI
 		// (including the all-zero-EHVI regime near pool exhaustion).
@@ -391,9 +394,12 @@ func scanEHVI(strips *EHVIStrips, cacheE, cacheT *gp.KStarCache, live []bool, va
 }
 
 // prescreenMin is the smallest float32 acquisition maximum the pre-screen
-// trusts. Below it the batch is deep into acquisition exhaustion, where
-// float32 resolution near zero could reorder candidates, so the scan falls
-// back to exact float64 for every candidate — that regime is cheap anyway.
+// trusts. It is an absolute floor, not a scale guard: the helpers' relative
+// error bounds keep the factor-of-two margin sound at any objective scale,
+// but they stop holding where scores sink towards float32's subnormal range
+// and exp32 flushes to zero. Below the floor the batch is deep into
+// acquisition exhaustion (or the objectives' units make every EHVI tiny), so
+// the scan scores every candidate in float64.
 const prescreenMin = 1e-12
 
 // prescreenScan is the float32-pre-screened candidate scan: a cheap
@@ -402,7 +408,7 @@ const prescreenMin = 1e-12
 // maximum. Candidates outside the slice get a sentinel below every exact
 // score, so the caller's reduction sees exact values wherever the winner can
 // be. See ehvi32.go for why the winner is always inside the slice.
-func (o *Optimizer) prescreenScan(sc *scanScratch, strips *EHVIStrips, cacheE, cacheT *gp.KStarCache) {
+func prescreenScan(sc *scanScratch, strips *EHVIStrips, cacheE, cacheT *gp.KStarCache) {
 	vals, gs, live, vals32 := sc.vals, sc.gs, sc.live, sc.vals32
 	sc.s32.fill(strips)
 	s32 := &sc.s32

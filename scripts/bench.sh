@@ -14,7 +14,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-BENCHES='^(BenchmarkMBOSuggestBatch|BenchmarkMBOSuggestBatchF64|BenchmarkMBOSuggestBatchLive|BenchmarkGPFit|BenchmarkFigure9|BenchmarkFLScale|BenchmarkFleetScale|BenchmarkCholeskyBlocked|BenchmarkCholeskyScalar|BenchmarkPredictBatchFused|BenchmarkILPSolve)$'
+BENCHES='^(BenchmarkMBOSuggestBatch|BenchmarkMBOSuggestBatchLive|BenchmarkGPFit|BenchmarkFigure9|BenchmarkFLScale|BenchmarkFleetScale|BenchmarkCholeskyBlocked|BenchmarkCholeskyScalar|BenchmarkPredictBatchFused|BenchmarkILPSolve)$'
 COUNT="${BENCH_COUNT:-3}"
 
 n="${1:-}"
