@@ -22,7 +22,9 @@
 // [2^-1074, 2^1024) spans bits 0..2097, and the top limb's slack absorbs
 // sums beyond the float range (they round to ±Inf). A float64 contributes its
 // 53-bit significand across at most three adjacent limbs, so an Add is a
-// handful of shifts and three integer adds — no branches on data magnitude.
+// handful of shifts and three integer adds — no branches on data magnitude
+// or sign: the fold kernel applies the sign with a mask, and one unsigned
+// compare bounds the limb window.
 // The slack supports ≥ 2^29 additions between carry normalizations; the
 // accumulator renormalizes itself (an exact, value-preserving operation)
 // long before that bound.
@@ -249,18 +251,25 @@ func (v *Vec) AddScaled(w float64, x []float64) {
 // scaledRun is the fold hot path: it adds w·x[i] for i = from, from+1, …
 // and returns the index of the first product it cannot place — a special, a
 // subnormal, or a normal value whose limbs reach outside the touched window
-// (len(x) when none). The loop makes no calls and tracks no window bounds:
-// the decomposition is inlined, the three limb writes of scalar i land dim
-// words apart (adjacent planes), and one unsigned compare keeps them inside
-// the window.
+// (len(x) when none). The loop makes no calls, tracks no window bounds and
+// takes no branch on the data it places: the decomposition is inlined, the
+// sign is applied with a mask, and the three limb writes of scalar i land in
+// three equal-length plane views at one index, so the single unsigned
+// compare that keeps the product inside the window is also the only bounds
+// check on the three plane accesses.
+//
+// Precondition: len(x) == v.dim (AddScaled checks it). Then the plane index
+// j = rel·dim + i is below len(p0) = (hi−lo−2)·dim exactly when the limb
+// offset rel is in [0, hi−lo−3], i.e. when limbs rel…rel+2 lie in the window.
 func (v *Vec) scaledRun(w float64, x []float64, from int) int {
 	lo, hi := v.loLimb, v.hiLimb
 	if hi-lo < 3 {
 		return from
 	}
-	span := uint(hi - 3 - lo)
 	dim := v.dim
+	n := (hi - lo - 2) * dim
 	p := v.planes[(lo-v.base)*dim:]
+	p0, p1, p2 := p[:n], p[dim:][:n], p[2*dim:][:n]
 	for i := from; i < len(x); i++ {
 		b := math.Float64bits(w * x[i])
 		exp := int(b>>52) & 0x7FF
@@ -275,29 +284,26 @@ func (v *Vec) scaledRun(w float64, x []float64, from int) int {
 		// multiply by 2^(pos mod 32) is the 85-bit shift-and-split in one
 		// µop — no variable shifts, no shift-amount branches.
 		pos := exp - 1
-		rel := pos>>5 - lo
-		if uint(rel) > span {
+		j := (pos>>5-lo)*dim + i
+		if uint(j) >= uint(len(p0)) {
 			return i
 		}
 		high, low := bits.Mul64(b&(1<<52-1)|1<<52, pow2[pos&31])
-		base := rel*dim + i
+		// s is 0 for a positive product and −1 for a negative one, so
+		// (t^s)−s is t or −t: mixed-sign rows, FedAvg's usual input, give
+		// a sign branch nothing to predict.
+		s := int64(b) >> 63
 		// All three loads issue before any store: with power-of-two dims the
 		// first store and the plane+2 load sit exactly 2·8·dim bytes apart,
 		// and store-before-load ordering would trip 4K-aliasing false
 		// dependences that serialize the loop.
-		d0, d1, d2 := p[base], p[base+dim], p[base+2*dim]
-		if int64(b) < 0 {
-			d0 -= int64(low & limbMask)
-			d1 -= int64(low >> limbBits)
-			d2 -= int64(high)
-		} else {
-			d0 += int64(low & limbMask)
-			d1 += int64(low >> limbBits)
-			d2 += int64(high)
-		}
-		p[base] = d0
-		p[base+dim] = d1
-		p[base+2*dim] = d2
+		d0, d1, d2 := p0[j], p1[j], p2[j]
+		d0 += (int64(low&limbMask) ^ s) - s
+		d1 += (int64(low>>limbBits) ^ s) - s
+		d2 += (int64(high) ^ s) - s
+		p0[j] = d0
+		p1[j] = d1
+		p2[j] = d2
 	}
 	return len(x)
 }
@@ -610,19 +616,22 @@ func (v *Vec) Absorb(s Serialized) error {
 		return fmt.Errorf("exact: absorb %d special flags, want %d", len(s.Specials), s.Dim)
 	}
 	if w > 0 {
-		// An honest encoder's limbs are bounded by its carry-slack charge; a
-		// frame claiming more is corrupt and must not be able to overflow the
-		// int64 limbs on merge.
+		// An honest encoder's limbs are bounded by its carry-slack charge:
+		// each add moves a limb by less than 2^33 (renormAfter's bound). A
+		// frame is charged at least its largest limb over that per-add
+		// bound, so a corrupt frame — limbs larger than its Adds allows —
+		// cannot overflow the int64 limbs on merge, however often it is
+		// absorbed. Honest frames never need more than their Adds.
 		const maxLimbMag = int64(1) << 62
+		var peak int64
 		for _, l := range s.Limbs {
-			if sl := int64(l); sl > maxLimbMag || sl < -maxLimbMag {
+			sl := int64(l)
+			if sl > maxLimbMag || sl < -maxLimbMag {
 				return fmt.Errorf("exact: absorb limb magnitude %d exceeds bound", sl)
 			}
+			peak = max(peak, sl, -sl)
 		}
-		charge := s.Adds
-		if charge < 1 {
-			charge = 1
-		}
+		charge := max(s.Adds, 1, peak>>33+1)
 		if charge > renormAfter {
 			// A hostile Adds cannot force overflow: renormalize now and
 			// treat the incoming window as fully charged.

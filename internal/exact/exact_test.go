@@ -226,6 +226,45 @@ func TestAbsorbRejectsCorrupt(t *testing.T) {
 	}
 }
 
+// frameSum is the math/big value of the summed limbs of frames, rounded to
+// float64: limb k of scalar 0 weighs 2^(32k−1074).
+func frameSum(frames []Serialized) float64 {
+	acc := new(big.Float).SetPrec(2400)
+	for _, s := range frames {
+		for k := s.Lo; k < s.Hi; k++ {
+			l := new(big.Float).SetInt64(int64(s.Limbs[(k-s.Lo)*s.Dim]))
+			acc.Add(acc, l.SetMantExp(l, 32*k-bias))
+		}
+	}
+	out, _ := acc.Float64()
+	return out
+}
+
+// TestAbsorbChargesLimbMagnitude absorbs frames that pass validation but
+// whose limbs are far larger than their declared Adds allows: the merge
+// must not wrap an int64 limb, so every sum rounds to the math/big value.
+func TestAbsorbChargesLimbMagnitude(t *testing.T) {
+	for _, limb := range []int64{1 << 62, -1 << 62, 1<<62 - 1} {
+		for _, count := range []int{2, 5} {
+			frames := make([]Serialized, count)
+			for i := range frames {
+				frames[i] = Serialized{Dim: 1, Lo: 40, Hi: 41, Adds: 1, Limbs: []uint64{uint64(limb)}}
+			}
+			v := NewVec(1)
+			for _, s := range frames {
+				if err := v.Absorb(s); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var got [1]float64
+			v.RoundTo(got[:])
+			if want := frameSum(frames); !bitsEq(got[0], want) {
+				t.Fatalf("%d frames of limb %d: got %v, math/big %v", count, limb, got[0], want)
+			}
+		}
+	}
+}
+
 // TestResetReuse checks a reset accumulator behaves like a fresh one.
 func TestResetReuse(t *testing.T) {
 	v := NewVec(3)
@@ -275,18 +314,59 @@ func TestWeightedFoldMatchesFloatSemantics(t *testing.T) {
 	}
 }
 
+// BenchmarkAddScaled times the fold kernel in ns per scalar on the row
+// shapes the aggregation workloads feed it: one-sign rows, where a sign
+// branch would always predict, and mixed-sign rows, where it would miss
+// about half the time.
 func BenchmarkAddScaled(b *testing.B) {
-	const dim = 4096
-	rng := rand.New(rand.NewSource(1))
-	row := make([]float64, dim)
-	for i := range row {
-		row[i] = rng.NormFloat64() * 0.05
+	// rows builds count rows of width dim from draw, each paired with a
+	// weight in [1, maxW].
+	rows := func(dim, count, maxW int, draw func(rng *rand.Rand, j int) float64) ([][]float64, []float64) {
+		rng := rand.New(rand.NewSource(1))
+		xs, ws := make([][]float64, count), make([]float64, count)
+		for k := range xs {
+			xs[k] = make([]float64, dim)
+			for j := range xs[k] {
+				xs[k][j] = draw(rng, j)
+			}
+			ws[k] = float64(1 + rng.Intn(maxW))
+		}
+		return xs, ws
 	}
-	v := NewVec(dim)
-	b.SetBytes(dim * 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v.AddScaled(float64(1+i%17), row)
+	cases := []struct {
+		name      string
+		dim, maxW int
+		draw      func(rng *rand.Rand, j int) float64
+	}{
+		// The fleet's affine updates of a global model in [0.5, 1.5]:
+		// every product is positive.
+		{"onesign-dim256", 256, 29, func(rng *rand.Rand, j int) float64 {
+			return (float64(j%17)/16+0.5)*(1+(rng.Float64()-0.5)/32) + (rng.Float64()-0.5)/32
+		}},
+		// round-flat's float32-valued model at its odd fold width.
+		{"mixed-f32-dim65537", 65_537, 64, func(rng *rand.Rand, _ int) float64 {
+			return float64(float32(rng.NormFloat64() * 0.05))
+		}},
+		// round-http's fold width under example-count weights.
+		{"mixed-dim16673", 16_673, 1000, func(rng *rand.Rand, _ int) float64 {
+			return rng.NormFloat64() * 0.05
+		}},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			xs, ws := rows(c.dim, 8, c.maxW, c.draw)
+			v := NewVec(c.dim)
+			for k := range xs {
+				v.AddScaled(ws[k], xs[k]) // settle the window outside the timer
+			}
+			b.SetBytes(int64(c.dim) * 8)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := i % len(xs)
+				v.AddScaled(ws[k], xs[k])
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.dim), "ns/scalar")
+		})
 	}
 }
 

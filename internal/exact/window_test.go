@@ -246,3 +246,117 @@ func TestSteadyStateAddsAllocateNothing(t *testing.T) {
 		t.Fatalf("steady-state adds allocate %v times per run", allocs)
 	}
 }
+
+// refLimbs is a per-scalar reference accumulator written without the Vec's
+// machinery: each product's three 32-bit pieces are cut with plain shifts
+// and added or subtracted into a full [66]int64 array, with no window.
+type refLimbs struct {
+	limbs [][limbsPerAcc]int64
+	flags []uint8
+}
+
+func (r *refLimbs) addScaled(w float64, x []float64) {
+	for i, xi := range x {
+		b := math.Float64bits(w * xi)
+		exp := int(b>>52) & 0x7FF
+		frac := b & (1<<52 - 1)
+		switch {
+		case b<<1 == 0:
+			continue
+		case exp == 0x7FF && frac != 0:
+			r.flags[i] |= flagNaN
+			continue
+		case exp == 0x7FF && b>>63 != 0:
+			r.flags[i] |= flagNegInf
+			continue
+		case exp == 0x7FF:
+			r.flags[i] |= flagPosInf
+			continue
+		case exp == 0:
+			exp = 1 // subnormal: exponent 1's scale, no implicit bit
+		default:
+			frac |= 1 << 52
+		}
+		pos := exp - 1
+		k, sh := pos/32, uint(pos%32)
+		pieces := [3]int64{
+			int64(frac << sh & limbMask),
+			int64(frac << sh >> 32 & limbMask),
+			int64(frac >> (64 - sh)), // bits 64…84 of frac·2^sh; 0 when sh = 0
+		}
+		for d, piece := range pieces {
+			if b>>63 != 0 {
+				r.limbs[i][k+d] -= piece
+			} else {
+				r.limbs[i][k+d] += piece
+			}
+		}
+	}
+}
+
+// TestAddScaledLimbsMatchReference pins the raw, unnormalized limbs the fold
+// kernel writes — what partial frames ship — against refLimbs, across widths,
+// signs, ±0, subnormals, specials, weights whose products cross the limb
+// boundaries at 4.0 and 2^-30, and a row that widens the window halfway.
+func TestAddScaledLimbsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	draw := func() float64 {
+		switch r := rng.Intn(40); {
+		case r < 24:
+			return rng.NormFloat64() * 0.05
+		case r < 30:
+			return rng.NormFloat64() * 1e-9 // around the 2^-30 boundary
+		case r < 33:
+			return math.Copysign(0, rng.NormFloat64())
+		case r < 36:
+			return math.Ldexp(rng.NormFloat64(), -1060) // subnormal
+		case r < 38:
+			return rng.NormFloat64() * 8 // around the 4.0 boundary
+		case r == 38:
+			return math.Inf(1 - 2*rng.Intn(2))
+		default:
+			if rng.Intn(8) == 0 {
+				return math.NaN()
+			}
+			return float64(rng.Intn(9) - 4)
+		}
+	}
+	for _, dim := range []int{1, 3, 256, 513, 4097} {
+		v := NewVec(dim)
+		ref := &refLimbs{limbs: make([][limbsPerAcc]int64, dim), flags: make([]uint8, dim)}
+		for row := 0; row < 24; row++ {
+			x := make([]float64, dim)
+			for i := range x {
+				x[i] = draw()
+			}
+			if row == 12 {
+				// Far above the window so far: the kernel stops here,
+				// the general path widens, and the kernel resumes.
+				x[dim/2] = -3.5e40
+			}
+			w := float64(1 + rng.Intn(1000))
+			v.AddScaled(w, x)
+			ref.addScaled(w, x)
+		}
+		s := v.Serialize()
+		for i := 0; i < dim; i++ {
+			for k := 0; k < limbsPerAcc; k++ {
+				var got int64
+				if k >= s.Lo && k < s.Hi {
+					got = int64(s.Limbs[(k-s.Lo)*dim+i])
+				}
+				if got != ref.limbs[i][k] {
+					t.Fatalf("dim %d window [%d,%d): scalar %d limb %d = %d, reference %d",
+						dim, s.Lo, s.Hi, i, k, got, ref.limbs[i][k])
+				}
+			}
+			var flags uint8
+			if s.Specials != nil {
+				flags = s.Specials[i]
+			}
+			if flags != ref.flags[i] {
+				t.Fatalf("dim %d: scalar %d flags %03b, reference %03b", dim, i, flags, ref.flags[i])
+			}
+		}
+	}
+}

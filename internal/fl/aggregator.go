@@ -1,6 +1,6 @@
 package fl
 
-// Aggregation-strategy plugin layer. The streaming turnstile and the
+// Aggregation-strategy plugin layer. The flat streaming fold and the
 // hierarchical tree fold historically hardcoded FedAvg; this file puts the
 // algorithm behind an interface so FedProx, FedNova and SCAFFOLD plug into
 // the identical fault plane — retries, quorum, quarantine, chaos injection,

@@ -127,9 +127,11 @@ func (c *roundCaller) backoff(client string, round, attempt int) time.Duration {
 }
 
 // attemptRecord is one attempt's ledger-facing verdict, produced by call()
-// and journaled by the server inside the fold turnstile so record order is
-// deterministic. Every quantity here is derived from the seeded fault plane
-// or the deterministic simulation — never from the wall clock.
+// and journaled by the server in participant index order — after the parts
+// merge on the flat path, inside the tier turnstile on the tree path — so
+// record order is deterministic. Every quantity here is derived from the
+// seeded fault plane or the deterministic simulation — never from the wall
+// clock.
 type attemptRecord struct {
 	attempt   int
 	verdict   string // ledger.Verdict* vocabulary
