@@ -22,8 +22,9 @@ import (
 // mobo.SuggestBatch builds one cache per surrogate per Fit and runs one
 // chain per batch selection.
 //
-// Determinism: the cached quantities are computed by exactly the code path
-// Predict uses, so a base cache reproduces Regressor.Predict bit-for-bit.
+// Determinism: the cached quantities are computed with the operations
+// Predict uses, in the same order, so a base cache reproduces
+// Regressor.Predict bit-for-bit.
 // Extended caches accumulate ‖v‖² incrementally, which regroups the
 // floating-point sum; the result agrees with a fresh ConditionFast
 // regressor's Predict to machine precision (the gp equivalence test pins
@@ -43,31 +44,37 @@ type KStarCache struct {
 // NewKStarCache builds the cross-covariance cache for the given candidates
 // against r's training set. The candidate slice is retained and must not be
 // mutated. The kernel sweep and triangular solves fan out across the shared
-// worker pool.
+// worker pool; within a chunk the solves run four candidates at a time
+// (solveLowerNorm4), each bit-identical to its own SolveLowerInto and Dot.
 func (r *Regressor) NewKStarCache(candidates [][]float64) *KStarCache {
-	return r.newKStarCache(candidates, len(r.xs))
-}
-
-func (r *Regressor) newKStarCache(candidates [][]float64, stride int) *KStarCache {
 	n := len(r.xs)
 	c := &KStarCache{
 		r:          r,
 		candidates: candidates,
 		n:          n,
-		stride:     stride,
-		kstars:     make([]float64, len(candidates)*stride),
-		vs:         make([]float64, len(candidates)*stride),
+		stride:     n,
+		kstars:     make([]float64, len(candidates)*n),
+		vs:         make([]float64, len(candidates)*n),
 		dotvv:      make([]float64, len(candidates)),
 		kxx:        make([]float64, len(candidates)),
 	}
 	parallel.ForChunk(len(candidates), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
+		row := func(i int) []float64 {
 			x := candidates[i]
-			ks := c.kstars[i*stride : i*stride+n]
+			ks := c.kstars[i*n : i*n+n]
 			kernelRow(r.kernel, x, r.xs, ks)
-			v := SolveLowerInto(r.chol, ks, c.vs[i*stride:i*stride+n])
-			c.dotvv[i] = Dot(v, v)
 			c.kxx[i] = priorVariance(r.kernel, x)
+			return ks
+		}
+		i := lo
+		for ; i+3 < hi; i += 4 {
+			for j := i; j < i+4; j++ {
+				row(j)
+			}
+			c.dotvv[i], c.dotvv[i+1], c.dotvv[i+2], c.dotvv[i+3] = solveLowerNorm4(r.chol, c.kstars[i*n:], c.vs[i*n:], n)
+		}
+		for ; i < hi; i++ {
+			_, c.dotvv[i] = SolveLowerNormInto(r.chol, row(i), c.vs[i*n:i*n+n])
 		}
 	})
 	return c
@@ -192,13 +199,26 @@ func (cc *CacheChain) Extend(cond *Regressor, x []float64) (*KStarCache, error) 
 	stride := cur.stride
 	lrow := cond.chol.Data[n*cond.chol.Cols : n*cond.chol.Cols+n]
 	d := cond.chol.At(n, n)
+	// step appends candidate i's new column given lv = Dot(lrow, v[:n]),
+	// which dot4 computes for four candidates at a time.
+	step := func(i int, lv float64) {
+		k := kernel1(cond.kernel, cur.candidates[i], x)
+		cur.kstars[i*stride+n] = k
+		vn := (k - lv) / d
+		cur.vs[i*stride+n] = vn
+		cur.dotvv[i] += vn * vn
+	}
 	parallel.ForChunk(len(cur.candidates), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ks := cur.kstars[i*stride : i*stride+n+1]
-			ks[n] = kernel1(cond.kernel, cur.candidates[i], x)
-			v := cur.vs[i*stride : i*stride+n+1]
-			v[n] = (ks[n] - Dot(lrow, v[:n])) / d
-			cur.dotvv[i] += v[n] * v[n]
+		i := lo
+		for ; i+3 < hi; i += 4 {
+			l0, l1, l2, l3 := dot4(lrow, cur.vs[i*stride:], stride)
+			step(i, l0)
+			step(i+1, l1)
+			step(i+2, l2)
+			step(i+3, l3)
+		}
+		for ; i < hi; i++ {
+			step(i, Dot(lrow, cur.vs[i*stride:i*stride+n]))
 		}
 	})
 	next := &KStarCache{

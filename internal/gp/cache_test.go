@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"bofl/internal/parallel"
 )
 
 func trainedRegressor(t *testing.T, n, d int, seed int64) (*Regressor, *rand.Rand) {
@@ -46,23 +48,87 @@ func randomCandidates(rng *rand.Rand, c, d int) [][]float64 {
 	return out
 }
 
+// cacheSizes are the candidate counts the cache tests build: 1–9 and 203, at
+// pool widths 1, 2 and 4, so that every chunk's one-row tail after the
+// four-row kernels (every remainder modulo 4) runs.
+var (
+	cacheSizes  = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 203}
+	cacheWidths = []int{1, 2, 4}
+)
+
 func TestKStarCacheMatchesPredict(t *testing.T) {
 	r, rng := trainedRegressor(t, 25, 3, 1)
-	cands := randomCandidates(rng, 200, 3)
-	cache := r.NewKStarCache(cands)
-	for i, x := range cands {
-		wantMu, wantSig := r.Predict(x)
-		gotMu, gotSig := cache.Predict(i)
-		if gotMu != wantMu || gotSig != wantSig {
-			t.Fatalf("candidate %d: cached (%v, %v) != fresh (%v, %v)", i, gotMu, gotSig, wantMu, wantSig)
+	for _, w := range cacheWidths {
+		prev := parallel.SetWorkers(w)
+		for _, nc := range cacheSizes {
+			cands := randomCandidates(rng, nc, 3)
+			cache := r.NewKStarCache(cands)
+			for i, x := range cands {
+				wantMu, wantSig := r.Predict(x)
+				gotMu, gotSig := cache.Predict(i)
+				if gotMu != wantMu || gotSig != wantSig {
+					parallel.SetWorkers(prev)
+					t.Fatalf("width %d, %d candidates, candidate %d: cached (%v, %v) != fresh (%v, %v)",
+						w, nc, i, gotMu, gotSig, wantMu, wantSig)
+				}
+			}
 		}
+		parallel.SetWorkers(prev)
+	}
+}
+
+// TestCacheChainMatchesNestedExtend pins CacheChain's documented bit
+// identity: a chain over 5 Kriging-believer fantasies gives, at every step and
+// for every candidate, the same Predict bits as nested KStarCache.Extend
+// calls, at every candidate count and pool width of cacheSizes and
+// cacheWidths.
+func TestCacheChainMatchesNestedExtend(t *testing.T) {
+	const steps = 5
+	r, rng := trainedRegressor(t, 20, 3, 6)
+	for _, w := range cacheWidths {
+		prev := parallel.SetWorkers(w)
+		for _, nc := range cacheSizes {
+			cands := randomCandidates(rng, nc, 3)
+			nested := r.NewKStarCache(cands)
+			chain := nested.NewChain(steps)
+			cur := r
+			for step := 0; step < steps; step++ {
+				fx := randomCandidates(rng, 1, 3)[0]
+				fy, _ := cur.Predict(fx)
+				cond, err := cur.ConditionFast(fx, fy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if nested, err = nested.Extend(cond, fx); err != nil {
+					t.Fatal(err)
+				}
+				view, err := chain.Extend(cond, fx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range cands {
+					wantMu, wantSig := nested.Predict(i)
+					gotMu, gotSig := view.Predict(i)
+					if math.Float64bits(gotMu) != math.Float64bits(wantMu) || math.Float64bits(gotSig) != math.Float64bits(wantSig) {
+						parallel.SetWorkers(prev)
+						t.Fatalf("width %d, %d candidates, step %d, candidate %d: chain (%v, %v) != nested Extend (%v, %v)",
+							w, nc, step, i, gotMu, gotSig, wantMu, wantSig)
+					}
+				}
+				cur = cond
+			}
+			chain.Release()
+		}
+		parallel.SetWorkers(prev)
 	}
 }
 
 // TestKStarCacheExtendMatchesConditionFast is the satellite equivalence test:
 // after a chain of Kriging-believer fantasies, predictions through the
 // extended cache must match fresh ConditionFast regressor predictions to
-// 1e-9 (they are in fact bit-identical by construction).
+// 1e-9. They agree to rounding, not bit for bit: the extended cache
+// accumulates ‖v‖² one column at a time, which regroups the sum (see
+// KStarCache's doc).
 func TestKStarCacheExtendMatchesConditionFast(t *testing.T) {
 	r, rng := trainedRegressor(t, 20, 3, 2)
 	cands := randomCandidates(rng, 150, 3)

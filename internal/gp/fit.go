@@ -309,13 +309,20 @@ func FitHyper(xs [][]float64, ys []float64, opts HyperOptions) (*Regressor, erro
 				if opts.FixedNoise > 0 && i == nparams-1 {
 					continue
 				}
+				// left is coordinate i's value before an accepted +step
+				// move. A −step probe that lands back on it would
+				// re-evaluate the point just left, whose likelihood is
+				// the old ll, strictly below the new one, so it can never
+				// be accepted and is skipped.
+				left := math.NaN()
 				for _, dir := range [2]float64{1, -1} {
 					copy(cand, p)
 					cand[i] = clamp(cand[i]+dir*step, lower[i], upper[i])
-					if cand[i] == p[i] {
+					if cand[i] == p[i] || cand[i] == left {
 						continue
 					}
 					if ll2 := evalLL(cand); ll2 > ll {
+						left = p[i]
 						p, cand = cand, p
 						ll = ll2
 						improved = true

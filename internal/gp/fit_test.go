@@ -109,3 +109,161 @@ func TestFitLLWarmWorkspaceZeroAlloc(t *testing.T) {
 		t.Errorf("fitLL on a warm workspace allocated %v times per probe, want 0", allocs)
 	}
 }
+
+// plainSearch is FitHyper's hyperparameter search written out as a
+// test-side oracle: the same start points drawn from the seed, the same
+// coordinate descent with its accept and halving rules, and every ±step
+// probe scored by Fit and LogMarginalLikelihood, with no workspace, no
+// pair-term cache and no skipped probe. It returns the refit of the winning
+// restart's parameters.
+func plainSearch(t *testing.T, xs [][]float64, ys []float64, opts HyperOptions) *Regressor {
+	t.Helper()
+	nparams := opts.Dim + 2
+	lower := make([]float64, nparams)
+	upper := make([]float64, nparams)
+	lower[0], upper[0] = math.Log(1e-2), math.Log(1e2)
+	for i := 1; i <= opts.Dim; i++ {
+		lower[i], upper[i] = math.Log(0.03), math.Log(10)
+	}
+	lower[nparams-1], upper[nparams-1] = math.Log(1e-4), math.Log(0.5)
+	model := func(p []float64) (Kernel, float64) {
+		ls := make([]float64, opts.Dim)
+		for i := range ls {
+			ls[i] = math.Exp(p[1+i])
+		}
+		noise := math.Exp(p[nparams-1])
+		if opts.FixedNoise > 0 {
+			noise = opts.FixedNoise
+		}
+		if opts.UseRBF {
+			return &RBF{Variance: math.Exp(p[0]), Lengthscales: ls}, noise
+		}
+		return &Matern52{Variance: math.Exp(p[0]), Lengthscales: ls}, noise
+	}
+	logLik := func(p []float64) float64 {
+		k, noise := model(p)
+		r, err := Fit(k, noise, xs, ys)
+		if err != nil {
+			return math.Inf(-1)
+		}
+		return r.LogMarginalLikelihood()
+	}
+
+	rng := rand.New(rand.NewSource(opts.Seed))
+	starts := make([][]float64, opts.Restarts)
+	for restart := range starts {
+		p := make([]float64, nparams)
+		if restart == 0 {
+			for i := 1; i <= opts.Dim; i++ {
+				p[i] = math.Log(0.5)
+			}
+			p[nparams-1] = math.Log(0.05)
+		} else {
+			for i := range p {
+				p[i] = lower[i] + rng.Float64()*(upper[i]-lower[i])
+			}
+		}
+		starts[restart] = p
+	}
+
+	var bestP []float64
+	bestLL := math.Inf(-1)
+	for _, p := range starts {
+		ll := logLik(p)
+		step := 1.0
+		for it := 0; it < opts.Iters; it++ {
+			improved := false
+			for i := range p {
+				if opts.FixedNoise > 0 && i == nparams-1 {
+					continue
+				}
+				for _, dir := range []float64{1, -1} {
+					cand := append([]float64(nil), p...)
+					cand[i] = clamp(cand[i]+dir*step, lower[i], upper[i])
+					if cand[i] == p[i] {
+						continue
+					}
+					if ll2 := logLik(cand); ll2 > ll {
+						p, ll, improved = cand, ll2, true
+					}
+				}
+			}
+			if !improved {
+				step /= 2
+				if step < 1e-3 {
+					break
+				}
+			}
+		}
+		if !math.IsInf(ll, -1) && ll > bestLL {
+			bestP, bestLL = p, ll
+		}
+	}
+	if bestP == nil {
+		t.Fatal("oracle search found no valid model")
+	}
+	k, noise := model(bestP)
+	r, err := Fit(k, noise, xs, ys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// agxGridSet draws n training inputs, with repeats, from a 25×14×6 grid of
+// levels in [0,1]³ shaped like the AGX configuration space, with log-scale
+// targets of multiplicative structure like the pace controller's energy.
+func agxGridSet(rng *rand.Rand, n int) ([][]float64, []float64) {
+	levels := [3]int{25, 14, 6}
+	xs := make([][]float64, n)
+	ys := make([]float64, n)
+	for i := range xs {
+		x := make([]float64, 3)
+		for d, l := range levels {
+			x[d] = float64(rng.Intn(l)) / float64(l-1)
+		}
+		xs[i] = x
+		ys[i] = 0.8*x[0] - 0.3*x[1] + 0.2*x[2]*x[2] + 0.5*math.Sin(5*x[0]*x[1]) + 0.03*rng.NormFloat64()
+	}
+	return xs, ys
+}
+
+// TestFitHyperMatchesPlainSearch holds FitHyper to plainSearch: on AGX-shaped
+// grid inputs at n = 10, 25, 40 and 70, seeds 0–3, Matérn and RBF, plus one
+// FixedNoise case, the fitted model must give the oracle's Predict bits at
+// every training input and at random points. Comparing against an oracle
+// rather than a pinned hash keeps the test independent of the host, since
+// math.Exp takes an FMA path on amd64 CPUs that have one.
+func TestFitHyperMatchesPlainSearch(t *testing.T) {
+	type fitCase struct {
+		n          int
+		seed       int64
+		rbf        bool
+		fixedNoise float64
+	}
+	var cases []fitCase
+	for _, n := range []int{10, 25, 40, 70} {
+		for seed := int64(0); seed < 4; seed++ {
+			cases = append(cases, fitCase{n, seed, false, 0}, fitCase{n, seed, true, 0})
+		}
+	}
+	cases = append(cases, fitCase{40, 1, false, 0.05})
+	for _, c := range cases {
+		rng := rand.New(rand.NewSource(100*int64(c.n) + c.seed))
+		xs, ys := agxGridSet(rng, c.n)
+		opts := HyperOptions{Dim: 3, Restarts: 4, Iters: 12, Seed: c.seed, UseRBF: c.rbf, FixedNoise: c.fixedNoise}
+		got, err := FitHyper(xs, ys, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := plainSearch(t, xs, ys, opts)
+		probes := append(randomCandidates(rng, 20, 3), xs...)
+		for _, x := range probes {
+			gotMu, gotSig := got.Predict(x)
+			wantMu, wantSig := want.Predict(x)
+			if math.Float64bits(gotMu) != math.Float64bits(wantMu) || math.Float64bits(gotSig) != math.Float64bits(wantSig) {
+				t.Fatalf("%+v: FitHyper predicts (%v, %v) at %v, the plain search (%v, %v)", c, gotMu, gotSig, x, wantMu, wantSig)
+			}
+		}
+	}
+}

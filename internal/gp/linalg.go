@@ -317,6 +317,41 @@ func SolveLowerNormInto(l *Matrix, b, x []float64) ([]float64, float64) {
 	return x, norm
 }
 
+// solveLowerNorm4 is SolveLowerNormInto on four right-hand sides at once.
+// Row r of b and of x starts at r·stride; x must not alias b. Each row keeps
+// SolveLowerNormInto's operation order (one subtraction chain per element in
+// ascending k, the division, then the norm term), so every solution and norm
+// is bit-identical to four separate calls: as in CholeskyInPlace's four-row
+// panel solve, the interleaving only gives the CPU four independent
+// dependency chains where one solve has a single chain.
+func solveLowerNorm4(l *Matrix, b, x []float64, stride int) (n0, n1, n2, n3 float64) {
+	n := l.Rows
+	b0, b1, b2, b3 := b[:n], b[stride:][:n], b[2*stride:][:n], b[3*stride:][:n]
+	x0, x1, x2, x3 := x[:n], x[stride:][:n], x[2*stride:][:n], x[3*stride:][:n]
+	for i := 0; i < n; i++ {
+		row := l.Data[i*l.Cols : i*l.Cols+i]
+		y0, y1, y2, y3 := x0[:len(row)], x1[:len(row)], x2[:len(row)], x3[:len(row)]
+		s0, s1, s2, s3 := b0[i], b1[i], b2[i], b3[i]
+		for k, lik := range row {
+			s0 -= lik * y0[k]
+			s1 -= lik * y1[k]
+			s2 -= lik * y2[k]
+			s3 -= lik * y3[k]
+		}
+		d := l.Data[i*l.Cols+i]
+		s0 /= d
+		s1 /= d
+		s2 /= d
+		s3 /= d
+		x0[i], x1[i], x2[i], x3[i] = s0, s1, s2, s3
+		n0 += s0 * s0
+		n1 += s1 * s1
+		n2 += s2 * s2
+		n3 += s3 * s3
+	}
+	return n0, n1, n2, n3
+}
+
 // SolveUpperT solves Lᵀ·x = b for lower-triangular L (so Lᵀ is upper
 // triangular) by backward substitution.
 func SolveUpperT(l *Matrix, b []float64) []float64 {
@@ -366,6 +401,21 @@ func Dot(a, b []float64) float64 {
 		s += a[i] * b[i]
 	}
 	return s
+}
+
+// dot4 returns Dot(a, x_r) for the four rows x_r = x[r·stride :
+// r·stride+len(a)], each accumulated in Dot's ascending order, so the four
+// results are bit-identical to four Dot calls.
+func dot4(a, x []float64, stride int) (s0, s1, s2, s3 float64) {
+	n := len(a)
+	x0, x1, x2, x3 := x[:n], x[stride:][:n], x[2*stride:][:n], x[3*stride:][:n]
+	for k, ak := range a {
+		s0 += ak * x0[k]
+		s1 += ak * x1[k]
+		s2 += ak * x2[k]
+		s3 += ak * x3[k]
+	}
+	return s0, s1, s2, s3
 }
 
 // MulVec computes m·v.

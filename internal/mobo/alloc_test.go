@@ -101,15 +101,18 @@ func TestScanEHVIZeroAlloc(t *testing.T) {
 }
 
 // TestStrips32FillAndValueZeroAlloc pins the float32 pre-screen kernel: both
-// the strip conversion and the per-candidate evaluation are allocation-free
-// once the scratch strips have warmed to the front size.
+// the strip conversion and the per-candidate evaluation, with and without a
+// pruning floor, are allocation-free once the scratch strips have warmed to
+// the front size.
 func TestStrips32FillAndValueZeroAlloc(t *testing.T) {
 	fx := newScanFixture(t, 16)
 	var s32 ehviStrips32
 	s32.fill(fx.strips) // warm the append-reuse buffers
 	allocs := testing.AllocsPerRun(50, func() {
 		s32.fill(fx.strips)
-		_ = s32.value(0.1, 0.4, 0.2, 0.3)
+		v := s32.value(0.1, 0.4, 0.2, 0.3, 0)
+		_ = s32.value(0.1, 0.4, 0.2, 0.3, 0.5*v)
+		_ = s32.value(0.1, 0.4, 0.2, 0.3, 2*v+1)
 	})
 	if allocs != 0 {
 		t.Errorf("float32 pre-screen allocated %v times per run, want 0", allocs)

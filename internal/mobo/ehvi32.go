@@ -147,22 +147,63 @@ func (s32 *ehviStrips32) fill(s *EHVIStrips) {
 	}
 }
 
+// The strip loop's early exit. The strips are sorted by their lower bound a
+// and their ceilings c never increase, so once strips 0…k−1 are summed, the
+// strips k, k+1, … can add at most (ψ₁(ref.X) − ψ₁(a_k))·ψ₂(c_k): their
+// first-objective ranges are disjoint and lie in [a_k, ref.X), ψ₁ is
+// nondecreasing, and every later ceiling is at most c_k. A candidate whose
+// partial score plus that bound falls below the caller's floor cannot reach
+// it, so value stops its loop and returns prunedScore.
+const (
+	// boundSlack scales ψ₁(ref.X) in the bound, which is built from the same
+	// float32 ψ values the loop sums. psi32's relative error ε ≤ 0.83% lets a
+	// later ceiling's ψ₂ exceed ψ₂(c_k) by (1+ε)/(1−ε) ≤ 1.0168, and the
+	// telescoped ψ₁ differences exceed ψ₁(ref.X) − ψ₁(a_k) by as much again
+	// relative to ψ₁(ref.X). 1.0168² = 1.034, so 1.05 leaves 1.6% of
+	// ψ₁(ref.X)·ψ₂(c_k) for float32 rounding of the sums and for ψ₁'s order
+	// across a gap between strips, where psi32's smooth error is far below
+	// ε. The slack is never less than 5% of the unscaled bound.
+	boundSlack float32 = 1.05
+	// pruneFrac is the floor prescreenScan passes, as a fraction of the
+	// running maximum of the float32 scores its chunk has produced so far.
+	// The running maximum never exceeds the final one and the slice keeps
+	// scores within prescreenFrac of the final maximum, so any pruneFrac ≤
+	// prescreenFrac leaves the slice unchanged; 0.4 also covers a bound that
+	// falls short by up to 0.1 of the running maximum.
+	pruneFrac float32 = 0.4
+	// prunedScore is value's result for a pruned candidate, below every
+	// floor-free score (those are clamped at zero).
+	prunedScore float32 = -1
+)
+
 // value is EHVIStrips.Value in float32, with the same boundary-sharing
-// memoization.
-func (s32 *ehviStrips32) value(muX, sgX, muY, sgY float32) float32 {
+// memoization. With floor > 0 it returns prunedScore as soon as the partial
+// score plus the remaining strips' bound falls below floor; a candidate that
+// is not pruned gets exactly the floor-free score, since the loop's
+// arithmetic does not depend on floor.
+func (s32 *ehviStrips32) value(muX, sgX, muY, sgY, floor float32) float32 {
 	if s32.empty {
 		return psi32(s32.refX, muX, sgX) * psi32(s32.refY, muY, sgY)
 	}
 	prevB := s32.b0
 	prevPsi1 := psi32(s32.b0, muX, sgX)
 	total := prevPsi1 * psi32(s32.refY, muY, sgY)
+	prune := floor > 0 && len(s32.a) > 0
+	var top float32 // boundSlack·ψ₁(ref.X), only when a floor can prune
+	if prune {
+		top = boundSlack * psi32(s32.refX, muX, sgX)
+	}
 	for i := range s32.a {
 		pa := prevPsi1
 		if s32.a[i] != prevB {
 			pa = psi32(s32.a[i], muX, sgX)
 		}
+		pc := psi32(s32.c[i], muY, sgY)
+		if prune && total+(top-pa)*pc < floor {
+			return prunedScore
+		}
 		pb := psi32(s32.b[i], muX, sgX)
-		total += (pb - pa) * psi32(s32.c[i], muY, sgY)
+		total += (pb - pa) * pc
 		prevB, prevPsi1 = s32.b[i], pb
 	}
 	if total < 0 {

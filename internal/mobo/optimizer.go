@@ -402,17 +402,29 @@ func scanEHVI(strips *EHVIStrips, cacheE, cacheT *gp.KStarCache, live []bool, va
 // the scan scores every candidate in float64.
 const prescreenMin = 1e-12
 
+// prescreenFrac is the re-scoring slice's cut: a candidate is re-scored in
+// float64 when its float32 score is at least this fraction of the float32
+// maximum.
+const prescreenFrac float32 = 0.5
+
 // prescreenScan is the float32-pre-screened candidate scan: a cheap
 // approximate pass over all live candidates, then exact float64 re-scoring
 // of the slice whose approximate score is within half of the approximate
 // maximum. Candidates outside the slice get a sentinel below every exact
 // score, so the caller's reduction sees exact values wherever the winner can
 // be. See ehvi32.go for why the winner is always inside the slice.
+//
+// Each chunk of the approximate pass keeps the running maximum of the scores
+// it has produced and passes pruneFrac of it to the strip loop as a floor, so
+// a candidate that cannot reach the slice stops early with a score below the
+// cut. Which candidates stop depends on the chunking, but the slice and the
+// maximum do not (ehvi32.go's early exit).
 func prescreenScan(sc *scanScratch, strips *EHVIStrips, cacheE, cacheT *gp.KStarCache) {
 	vals, gs, live, vals32 := sc.vals, sc.gs, sc.live, sc.vals32
 	sc.s32.fill(strips)
 	s32 := &sc.s32
 	parallel.ForChunk(len(vals), func(lo, hi int) {
+		var top float32 // running maximum of this chunk's scores
 		for i := lo; i < hi; i++ {
 			if !live[i] {
 				continue
@@ -420,7 +432,11 @@ func prescreenScan(sc *scanScratch, strips *EHVIStrips, cacheE, cacheT *gp.KStar
 			muE, sE := cacheE.Predict(i)
 			muT, sT := cacheT.Predict(i)
 			mx, sx, my, sy := lognormalMoments32(float32(muE), float32(sE), float32(muT), float32(sT))
-			vals32[i] = s32.value(mx, sx, my, sy)
+			v := s32.value(mx, sx, my, sy, pruneFrac*top)
+			vals32[i] = v
+			if v > top {
+				top = v
+			}
 		}
 	})
 	best32 := float32(0)
@@ -436,7 +452,7 @@ func prescreenScan(sc *scanScratch, strips *EHVIStrips, cacheE, cacheT *gp.KStar
 		})
 		return
 	}
-	thresh := 0.5 * best32
+	thresh := prescreenFrac * best32
 	parallel.ForChunk(len(vals), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if !live[i] {
