@@ -11,7 +11,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"time"
 
@@ -97,7 +96,7 @@ func run(args []string) error {
 	}
 	fmt.Printf("flclient %s (%s, %s pacing) listening on %s (introspection: /metrics /healthz /v1/telemetry)\n",
 		cfg.id, cfg.devName, cfg.controller, *listen)
-	return http.ListenAndServe(*listen, handler)
+	return obs.NewServer(*listen, handler).ListenAndServe()
 }
 
 // clientConfig holds the daemon's construction parameters.

@@ -186,7 +186,7 @@ func run(args []string) error {
 		tel.Mount(mux)
 		mux.Handle("GET /v1/ledger", led.Handler())
 		go func() {
-			if err := http.ListenAndServe(*admin, mux); err != nil {
+			if err := obs.NewServer(*admin, mux).ListenAndServe(); err != nil {
 				fmt.Fprintln(os.Stderr, "flserver: admin listener:", err)
 			}
 		}()
@@ -200,7 +200,7 @@ func run(args []string) error {
 	case *checkin != "":
 		// Figure 1, step 1: wait for devices to check in.
 		reg := fl.NewRegistry(*timeout)
-		httpSrv := &http.Server{Addr: *checkin, Handler: reg.Handler()}
+		httpSrv := obs.NewServer(*checkin, reg.Handler())
 		go func() {
 			if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				fmt.Fprintln(os.Stderr, "flserver: check-in listener:", err)

@@ -3,6 +3,8 @@ package gp
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"bofl/internal/parallel"
 )
@@ -19,8 +21,9 @@ import (
 // a CacheChain, which carries it through a Kriging-believer fantasy in O(n)
 // per candidate — one kernel evaluation, one dot product against the new
 // factor row and a rank-one update of ‖v‖² — with zero copying.
-// mobo.SuggestBatch builds one cache per surrogate per Fit and runs one
-// chain per batch selection.
+// mobo.SuggestBatch builds one cache per surrogate on each call that scans,
+// straight into a chain's pooled slabs (NewCacheChain), and releases it on
+// return; a call that reuses an unchanged batch builds none.
 //
 // Determinism: the cached quantities are computed with the operations
 // Predict uses, in the same order, so a base cache reproduces
@@ -41,27 +44,36 @@ type KStarCache struct {
 	kxx        []float64 // kxx[i] = k(candidates[i], candidates[i])
 }
 
-// NewKStarCache builds the cross-covariance cache for the given candidates
-// against r's training set. The candidate slice is retained and must not be
-// mutated. The kernel sweep and triangular solves fan out across the shared
-// worker pool; within a chunk the solves run four candidates at a time
-// (solveLowerNorm4), each bit-identical to its own SolveLowerInto and Dot.
+// NewKStarCache builds a standalone cache in fresh slabs at stride n. It is
+// the persistent form: production code builds through NewCacheChain, and
+// this constructor with the copying Extend stays as the oracle the chain is
+// tested against.
 func (r *Regressor) NewKStarCache(candidates [][]float64) *KStarCache {
-	n := len(r.xs)
+	n, nc := len(r.xs), len(candidates)
 	c := &KStarCache{
 		r:          r,
 		candidates: candidates,
 		n:          n,
 		stride:     n,
-		kstars:     make([]float64, len(candidates)*n),
-		vs:         make([]float64, len(candidates)*n),
-		dotvv:      make([]float64, len(candidates)),
-		kxx:        make([]float64, len(candidates)),
+		kstars:     make([]float64, nc*n),
+		vs:         make([]float64, nc*n),
+		dotvv:      make([]float64, nc),
+		kxx:        make([]float64, nc),
 	}
-	parallel.ForChunk(len(candidates), func(lo, hi int) {
+	c.build()
+	return c
+}
+
+// build fills every candidate's row against c.r's training set at c.stride.
+// The kernel sweep and triangular solves fan out across the shared worker
+// pool; within a chunk the solves run four candidates at a time
+// (solveLowerNorm4), each bit-identical to its own SolveLowerInto and Dot.
+func (c *KStarCache) build() {
+	r, n, stride := c.r, c.n, c.stride
+	parallel.ForChunk(len(c.candidates), func(lo, hi int) {
 		row := func(i int) []float64 {
-			x := candidates[i]
-			ks := c.kstars[i*n : i*n+n]
+			x := c.candidates[i]
+			ks := c.kstars[i*stride : i*stride+n]
 			kernelRow(r.kernel, x, r.xs, ks)
 			c.kxx[i] = priorVariance(r.kernel, x)
 			return ks
@@ -71,13 +83,12 @@ func (r *Regressor) NewKStarCache(candidates [][]float64) *KStarCache {
 			for j := i; j < i+4; j++ {
 				row(j)
 			}
-			c.dotvv[i], c.dotvv[i+1], c.dotvv[i+2], c.dotvv[i+3] = solveLowerNorm4(r.chol, c.kstars[i*n:], c.vs[i*n:], n)
+			c.dotvv[i], c.dotvv[i+1], c.dotvv[i+2], c.dotvv[i+3] = solveLowerNorm4(r.chol, c.kstars[i*stride:], c.vs[i*stride:], stride)
 		}
 		for ; i < hi; i++ {
-			_, c.dotvv[i] = SolveLowerNormInto(r.chol, row(i), c.vs[i*n:i*n+n])
+			_, c.dotvv[i] = SolveLowerNormInto(r.chol, row(i), c.vs[i*stride:i*stride+n])
 		}
 	})
-	return c
 }
 
 // N returns the training-set size the cached vectors cover.
@@ -108,7 +119,8 @@ func (c *KStarCache) Predict(i int) (mu, sigma float64) {
 //
 // where [lᵀ, d] is the factor's new row. The receiver stays valid for the
 // original regressor. CacheChain performs the same step in place with zero
-// copying; Extend is the persistent (copying) form.
+// copying; Extend is the persistent (copying) form, kept with NewKStarCache
+// as the tests' oracle for the chain.
 func (c *KStarCache) Extend(cond *Regressor, x []float64) (*KStarCache, error) {
 	if len(cond.xs) != c.n+1 {
 		return nil, fmt.Errorf("gp: extend expects a one-point conditioning, got %d → %d training points", c.n, len(cond.xs))
@@ -141,54 +153,60 @@ func (c *KStarCache) Extend(cond *Regressor, x []float64) (*KStarCache, error) {
 	return out, nil
 }
 
-// CacheChain extends a KStarCache through a Kriging-believer fantasy chain
-// in place: one slab copy up front, then each Extend appends a single column
-// to every candidate's cached solve and updates ‖v‖² incrementally — zero
-// copying and zero allocation per step. Only the most recently returned
-// cache view is valid. The base cache is never mutated.
+// CacheChain is a KStarCache built in pooled slabs with spare row stride,
+// extended in place through a Kriging-believer fantasy chain: each Extend
+// appends a single column to every candidate's cached solve and updates ‖v‖²
+// incrementally — zero copying and zero allocation per step. The chain holds
+// one cache view, which Extend advances; a view read before an Extend sees
+// the extended cache afterwards.
 //
-// The per-candidate arithmetic is identical to KStarCache.Extend's, so a
-// chain of k extensions produces bit-identical cached values to k nested
-// Extend calls.
+// The per-candidate arithmetic is identical to NewKStarCache's and
+// KStarCache.Extend's, so a chain after k extensions holds bit-identical
+// cached values to a NewKStarCache and k nested Extend calls.
 type CacheChain struct {
-	base *KStarCache
-	cur  *KStarCache
+	c KStarCache
 }
 
-// NewChain prepares an in-place extension chain with capacity for extra
-// appended observations. The cached rows are copied into pooled slabs once.
-func (c *KStarCache) NewChain(extra int) *CacheChain {
-	stride := c.n + extra
-	cc := &CacheChain{base: c}
-	cur := &KStarCache{
-		r:          c.r,
-		candidates: c.candidates,
-		n:          c.n,
-		stride:     stride,
-		kstars:     getF64(len(c.candidates) * stride),
-		vs:         getF64(len(c.candidates) * stride),
-		dotvv:      getF64(len(c.candidates)),
-		kxx:        c.kxx,
+// chainPool recycles released chains with their slabs, so a batch
+// selection builds its caches in storage an earlier one left behind. Slabs
+// are never zeroed: build and Extend write every element they later read.
+var chainPool sync.Pool
+
+// NewCacheChain builds the cross-covariance cache for candidates against
+// r's training set straight into pooled slabs at stride n+extra, with room
+// for extra appended observations. The candidate slice is retained and must
+// not be mutated. Release returns the slabs to the pool.
+func (r *Regressor) NewCacheChain(candidates [][]float64, extra int) *CacheChain {
+	cc, _ := chainPool.Get().(*CacheChain)
+	if cc == nil {
+		cc = &CacheChain{}
 	}
-	parallel.ForChunk(len(c.candidates), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			copy(cur.kstars[i*stride:i*stride+c.n], c.kstars[i*c.stride:i*c.stride+c.n])
-			copy(cur.vs[i*stride:i*stride+c.n], c.vs[i*c.stride:i*c.stride+c.n])
-		}
-		copy(cur.dotvv[lo:hi], c.dotvv[lo:hi])
-	})
-	cc.cur = cur
+	n, nc := len(r.xs), len(candidates)
+	stride := n + extra
+	c := &cc.c
+	c.r, c.candidates, c.n, c.stride = r, candidates, n, stride
+	c.kstars = growSlab(c.kstars, nc*stride)
+	c.vs = growSlab(c.vs, nc*stride)
+	c.dotvv = growSlab(c.dotvv, nc)
+	c.kxx = growSlab(c.kxx, nc)
+	c.build()
 	return cc
 }
 
-// Cur returns the chain's current cache view.
-func (cc *CacheChain) Cur() *KStarCache { return cc.cur }
+// growSlab returns s resliced to n elements, or a fresh slab with append's
+// headroom when s is too small: a chain whose training set grew by a few
+// points since its last use still fits. Contents are undefined.
+func growSlab(s []float64, n int) []float64 {
+	return slices.Grow(s[:0], n)[:n]
+}
+
+// Cur returns the chain's cache view.
+func (cc *CacheChain) Cur() *KStarCache { return &cc.c }
 
 // Extend advances the chain to cond (the current regressor conditioned on
-// one observation at x) and returns the updated cache view, invalidating the
-// previous one.
+// one observation at x) and returns the cache view, now valid for cond.
 func (cc *CacheChain) Extend(cond *Regressor, x []float64) (*KStarCache, error) {
-	cur := cc.cur
+	cur := &cc.c
 	n := cur.n
 	if len(cond.xs) != n+1 {
 		return nil, fmt.Errorf("gp: extend expects a one-point conditioning, got %d → %d training points", n, len(cond.xs))
@@ -221,25 +239,13 @@ func (cc *CacheChain) Extend(cond *Regressor, x []float64) (*KStarCache, error) 
 			step(i, Dot(lrow, cur.vs[i*stride:i*stride+n]))
 		}
 	})
-	next := &KStarCache{
-		r:          cond,
-		candidates: cur.candidates,
-		n:          n + 1,
-		stride:     stride,
-		kstars:     cur.kstars,
-		vs:         cur.vs,
-		dotvv:      cur.dotvv,
-		kxx:        cur.kxx,
-	}
-	cc.cur = next
-	return next, nil
+	cur.r, cur.n = cond, n+1
+	return cur, nil
 }
 
-// Release returns the chain's slabs to the package pool. The chain and every
-// cache view it returned become invalid; the base cache is unaffected.
+// Release returns the chain and its slabs to the pool. The chain and its
+// cache view become invalid.
 func (cc *CacheChain) Release() {
-	putF64(cc.cur.kstars)
-	putF64(cc.cur.vs)
-	putF64(cc.cur.dotvv)
-	cc.cur, cc.base = nil, nil
+	cc.c.r, cc.c.candidates = nil, nil
+	chainPool.Put(cc)
 }

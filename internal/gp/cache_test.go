@@ -56,32 +56,41 @@ var (
 	cacheWidths = []int{1, 2, 4}
 )
 
+// TestKStarCacheMatchesPredict holds both constructors, NewKStarCache and
+// the pooled NewCacheChain (at a spare stride), to Regressor.Predict bit for
+// bit.
 func TestKStarCacheMatchesPredict(t *testing.T) {
 	r, rng := trainedRegressor(t, 25, 3, 1)
 	for _, w := range cacheWidths {
 		prev := parallel.SetWorkers(w)
 		for _, nc := range cacheSizes {
 			cands := randomCandidates(rng, nc, 3)
-			cache := r.NewKStarCache(cands)
-			for i, x := range cands {
-				wantMu, wantSig := r.Predict(x)
-				gotMu, gotSig := cache.Predict(i)
-				if gotMu != wantMu || gotSig != wantSig {
-					parallel.SetWorkers(prev)
-					t.Fatalf("width %d, %d candidates, candidate %d: cached (%v, %v) != fresh (%v, %v)",
-						w, nc, i, gotMu, gotSig, wantMu, wantSig)
+			chain := r.NewCacheChain(cands, 3)
+			for name, cache := range map[string]*KStarCache{"NewKStarCache": r.NewKStarCache(cands), "NewCacheChain": chain.Cur()} {
+				for i, x := range cands {
+					wantMu, wantSig := r.Predict(x)
+					gotMu, gotSig := cache.Predict(i)
+					if gotMu != wantMu || gotSig != wantSig {
+						parallel.SetWorkers(prev)
+						t.Fatalf("%s, width %d, %d candidates, candidate %d: cached (%v, %v) != fresh (%v, %v)",
+							name, w, nc, i, gotMu, gotSig, wantMu, wantSig)
+					}
 				}
 			}
+			chain.Release()
 		}
 		parallel.SetWorkers(prev)
 	}
 }
 
 // TestCacheChainMatchesNestedExtend pins CacheChain's documented bit
-// identity: a chain over 5 Kriging-believer fantasies gives, at every step and
-// for every candidate, the same Predict bits as nested KStarCache.Extend
-// calls, at every candidate count and pool width of cacheSizes and
-// cacheWidths.
+// identity: a chain built straight into pooled slabs with room for 5
+// Kriging-believer fantasies gives, before the first and after every
+// extension, for every candidate, the same Predict bits as the oracle,
+// NewKStarCache followed by nested KStarCache.Extend calls, at every
+// candidate count and pool width of cacheSizes and cacheWidths. Each chain
+// is released before the next is built, so later ones reuse pooled slabs
+// whose stale contents and larger capacity must not leak into the values.
 func TestCacheChainMatchesNestedExtend(t *testing.T) {
 	const steps = 5
 	r, rng := trainedRegressor(t, 20, 3, 6)
@@ -90,9 +99,22 @@ func TestCacheChainMatchesNestedExtend(t *testing.T) {
 		for _, nc := range cacheSizes {
 			cands := randomCandidates(rng, nc, 3)
 			nested := r.NewKStarCache(cands)
-			chain := nested.NewChain(steps)
+			chain := r.NewCacheChain(cands, steps)
+			view := chain.Cur()
 			cur := r
-			for step := 0; step < steps; step++ {
+			for step := 0; ; step++ {
+				for i := range cands {
+					wantMu, wantSig := nested.Predict(i)
+					gotMu, gotSig := view.Predict(i)
+					if math.Float64bits(gotMu) != math.Float64bits(wantMu) || math.Float64bits(gotSig) != math.Float64bits(wantSig) {
+						parallel.SetWorkers(prev)
+						t.Fatalf("width %d, %d candidates, %d extensions, candidate %d: chain (%v, %v) != nested Extend (%v, %v)",
+							w, nc, step, i, gotMu, gotSig, wantMu, wantSig)
+					}
+				}
+				if step == steps {
+					break
+				}
 				fx := randomCandidates(rng, 1, 3)[0]
 				fy, _ := cur.Predict(fx)
 				cond, err := cur.ConditionFast(fx, fy)
@@ -102,20 +124,17 @@ func TestCacheChainMatchesNestedExtend(t *testing.T) {
 				if nested, err = nested.Extend(cond, fx); err != nil {
 					t.Fatal(err)
 				}
-				view, err := chain.Extend(cond, fx)
-				if err != nil {
+				if view, err = chain.Extend(cond, fx); err != nil {
 					t.Fatal(err)
 				}
-				for i := range cands {
-					wantMu, wantSig := nested.Predict(i)
-					gotMu, gotSig := view.Predict(i)
-					if math.Float64bits(gotMu) != math.Float64bits(wantMu) || math.Float64bits(gotSig) != math.Float64bits(wantSig) {
-						parallel.SetWorkers(prev)
-						t.Fatalf("width %d, %d candidates, step %d, candidate %d: chain (%v, %v) != nested Extend (%v, %v)",
-							w, nc, step, i, gotMu, gotSig, wantMu, wantSig)
-					}
-				}
 				cur = cond
+			}
+			over, err := cur.ConditionFast(cands[0], 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := chain.Extend(over, cands[0]); err == nil {
+				t.Fatal("chain accepted an extension past its capacity")
 			}
 			chain.Release()
 		}

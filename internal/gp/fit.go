@@ -41,10 +41,17 @@ type fitWS struct {
 	rbf   RBF
 	p     []float64
 	cand  []float64
-	// pairs holds the Matérn pair terms of the two most recently used
-	// lengthscale vectors; next is the slot the next miss overwrites.
-	pairs [2]maternPairs
-	next  int
+	// pairs holds the Matérn pair terms of the 2·dim+2 most recently used
+	// lengthscale vectors, one per slot. A sweep of the coordinate descent
+	// probes 2·dim lengthscale vectors around its current point and the
+	// current point's own between them, so when a sweep moves only the
+	// variance or the noise, the next sweep finds every vector it needs.
+	// clock stamps each use; a miss overwrites the least recently used slot.
+	pairs []maternPairs
+	clock uint64
+	// memo holds every point the restart has scored, each entry its
+	// parameter vector followed by its log likelihood (recall).
+	memo []float64
 }
 
 // maternPairs holds, for one lengthscale vector over the workspace's
@@ -55,7 +62,7 @@ type fitWS struct {
 type maternPairs struct {
 	ls    []float64
 	terms []float64
-	valid bool
+	used  uint64 // clock of the latest use; 0 marks an empty slot
 }
 
 var fitWSPool sync.Pool
@@ -94,9 +101,33 @@ func (ws *fitWS) reset(n, dim, nparams int) {
 	}
 	ws.p = ws.p[:nparams]
 	ws.cand = ws.cand[:nparams]
-	for s := range ws.pairs {
-		ws.pairs[s].valid = false
+	slots := 2*dim + 2
+	if cap(ws.pairs) < slots {
+		ws.pairs = append(ws.pairs[:cap(ws.pairs)], make([]maternPairs, slots-cap(ws.pairs))...)
 	}
+	ws.pairs = ws.pairs[:slots]
+	for s := range ws.pairs {
+		ws.pairs[s].used = 0
+	}
+	ws.memo = ws.memo[:0]
+}
+
+// recall returns the log likelihood the restart scored at p, if it has
+// scored p before. The newest entries are searched first: a probe that
+// steps back lands on the point the last accepted move left.
+func (ws *fitWS) recall(p []float64) (float64, bool) {
+	w := len(p) + 1
+	for e := len(ws.memo) - w; e >= 0; e -= w {
+		if slices.Equal(ws.memo[e:e+len(p)], p) {
+			return ws.memo[e+len(p)], true
+		}
+	}
+	return 0, false
+}
+
+// remember records the log likelihood ll scored at p.
+func (ws *fitWS) remember(p []float64, ll float64) {
+	ws.memo = append(append(ws.memo, p...), ll)
 }
 
 func putFitWS(ws *fitWS) { fitWSPool.Put(ws) }
@@ -130,14 +161,19 @@ func (ws *fitWS) gram(k Kernel, xs [][]float64, noise float64) {
 // recently used slot otherwise. The arithmetic is gramLowerInto's, so the
 // terms are the exact factors it multiplies.
 func (ws *fitWS) pairTerms(ls []float64, xs [][]float64) []float64 {
+	ws.clock++
+	pc := &ws.pairs[0] // the least recently used slot so far
 	for s := range ws.pairs {
-		if pc := &ws.pairs[s]; pc.valid && slices.Equal(pc.ls, ls) {
-			ws.next = 1 - s
-			return pc.terms
+		c := &ws.pairs[s]
+		if c.used > 0 && slices.Equal(c.ls, ls) {
+			c.used = ws.clock
+			return c.terms
+		}
+		if c.used < pc.used {
+			pc = c
 		}
 	}
-	pc := &ws.pairs[ws.next]
-	ws.next = 1 - ws.next
+	pc.used = ws.clock
 	n := len(xs)
 	pc.ls = append(pc.ls[:0], ls...)
 	if cap(pc.terms) < n*(n-1) {
@@ -163,7 +199,6 @@ func (ws *fitWS) pairTerms(ls []float64, xs [][]float64) []float64 {
 			t = t[2:]
 		}
 	}
-	pc.valid = true
 	return pc.terms
 }
 
@@ -211,7 +246,11 @@ func fitLL(kernel Kernel, noise float64, xs [][]float64, ys []float64, ws *fitWS
 // Search probes evaluate the likelihood only (fitLL, allocation-free through
 // the pooled per-restart workspace); the winning parameter vector is refit
 // once at the end, producing a model bit-identical to the historical
-// fit-per-probe search at a fraction of the allocator traffic.
+// fit-per-probe search at a fraction of the allocator traffic. Each restart
+// memoizes the likelihood of every point it scores, so a probe that returns
+// to one (a step back to the point a move just left, or a longer way round)
+// reads it instead of scoring it again; fitLL is deterministic, so the
+// search path is unchanged.
 func FitHyper(xs [][]float64, ys []float64, opts HyperOptions) (*Regressor, error) {
 	if opts.Dim <= 0 {
 		return nil, fmt.Errorf("gp: FitHyper requires positive Dim, got %d", opts.Dim)
@@ -286,6 +325,9 @@ func FitHyper(xs [][]float64, ys []float64, opts HyperOptions) (*Regressor, erro
 		ws := getFitWS(len(xs), opts.Dim, nparams)
 		defer putFitWS(ws)
 		evalLL := func(p []float64) float64 {
+			if ll, ok := ws.recall(p); ok {
+				return ll
+			}
 			var k Kernel
 			var noise float64
 			if opts.UseRBF {
@@ -295,7 +337,9 @@ func FitHyper(xs [][]float64, ys []float64, opts HyperOptions) (*Regressor, erro
 				ws.mat.Variance, noise = paramsOf(p, ws.mat.Lengthscales)
 				k = &ws.mat
 			}
-			return fitLL(k, noise, xs, ys, ws)
+			ll := fitLL(k, noise, xs, ys, ws)
+			ws.remember(p, ll)
+			return ll
 		}
 		p := ws.p
 		copy(p, starts[restart])
@@ -309,20 +353,13 @@ func FitHyper(xs [][]float64, ys []float64, opts HyperOptions) (*Regressor, erro
 				if opts.FixedNoise > 0 && i == nparams-1 {
 					continue
 				}
-				// left is coordinate i's value before an accepted +step
-				// move. A −step probe that lands back on it would
-				// re-evaluate the point just left, whose likelihood is
-				// the old ll, strictly below the new one, so it can never
-				// be accepted and is skipped.
-				left := math.NaN()
 				for _, dir := range [2]float64{1, -1} {
 					copy(cand, p)
 					cand[i] = clamp(cand[i]+dir*step, lower[i], upper[i])
-					if cand[i] == p[i] || cand[i] == left {
+					if cand[i] == p[i] {
 						continue
 					}
 					if ll2 := evalLL(cand); ll2 > ll {
-						left = p[i]
 						p, cand = cand, p
 						ll = ll2
 						improved = true

@@ -30,27 +30,40 @@ type pairCacheProbe struct {
 }
 
 // pairCacheProbes alternates lengthscale, variance and noise changes the way
-// a coordinate descent does, so the probes hit both cache slots, miss into
-// each, and evict the least recently used one.
+// a coordinate descent does, so the probes hit cached slots and miss into
+// empty ones; then 2·dim+2 = 8 fresh lengthscale vectors (at dim 3) fill
+// the cache, evicting the least recently used slots, and the probes return
+// to an evicted vector and to a cached one.
 func pairCacheProbes() []pairCacheProbe {
 	a := []float64{0.5, 0.5, 0.5}
 	b := []float64{0.5, 0.2, 0.5}
 	c := []float64{1.7, 0.2, 0.5}
-	return []pairCacheProbe{
-		{1, a, 0.05},     // miss: slot 0
+	probes := []pairCacheProbe{
+		{1, a, 0.05},     // miss
 		{2.5, a, 0.05},   // variance: hit
 		{2.5, a, 0.2},    // noise: hit
-		{2.5, b, 0.2},    // lengthscale: miss, slot 1
+		{2.5, b, 0.2},    // lengthscale: miss
 		{0.7, b, 0.2},    // hit
 		{0.7, a, 0.01},   // hit on the older slot
-		{0.7, c, 0.01},   // miss: evicts b
-		{0.7, b, 1e-4},   // miss: evicts a
+		{0.7, c, 0.01},   // miss
+		{0.7, b, 1e-4},   // hit
 		{1.3, c, 1e-4},   // hit
 		{1.3, c, 1e-5},   // hit, tiny noise over duplicated inputs
 		{0.4, b, 0.05},   // hit
-		{0.4, a, 0.05},   // miss: evicts c
+		{0.4, a, 0.05},   // hit
 		{0.4, a, 0.0001}, // hit
 	}
+	// Eight fresh vectors: the first five take the empty slots, the last
+	// three evict c, b and a in that order.
+	var fresh []float64
+	for i := 0; i < 8; i++ {
+		fresh = []float64{0.3 + 0.1*float64(i), 0.4, 0.6}
+		probes = append(probes, pairCacheProbe{0.9, fresh, 0.05})
+	}
+	return append(probes,
+		pairCacheProbe{0.9, b, 0.05},    // miss: b was evicted
+		pairCacheProbe{1.1, fresh, 0.1}, // hit: the last fresh vector
+	)
 }
 
 // TestFitLLPairCacheMatchesFit drives one workspace through the probe
@@ -98,7 +111,7 @@ func TestFitLLWarmWorkspaceZeroAlloc(t *testing.T) {
 		}
 	}
 	for _, p := range probes {
-		probe(p) // size both pair slots
+		probe(p) // size every pair slot
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(len(probes), func() {

@@ -3,8 +3,10 @@ package mobo
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"bofl/internal/device"
 	"bofl/internal/gp"
 	"bofl/internal/pareto"
 )
@@ -117,4 +119,41 @@ func TestStrips32FillAndValueZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("float32 pre-screen allocated %v times per run, want 0", allocs)
 	}
+}
+
+// TestSuggestBatchAllocsUnderOneSlab pins where the k* caches live: after a
+// warm Fit, a SuggestBatch that scans builds both surrogates' caches in
+// pooled chain slabs, so it allocates fewer bytes than one candidate slab
+// (C·n float64s), where caches built in fresh slabs cost four. The problem
+// is the pace controller's first batch selection (AGX space, ViT, k = 10).
+// Each call's bytes are read on their own and the least is pinned: a GC that
+// empties the pool between two calls makes one call rebuild its slabs.
+func TestSuggestBatchAllocsUnderOneSlab(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector's sync.Pool drops Puts; allocation counts are meaningless")
+	}
+	opt := deviceProblem(t, device.JetsonAGX(), device.ViT, 5)
+	if err := opt.Fit(); err != nil {
+		t.Fatal(err)
+	}
+	scan := func() uint64 {
+		opt.batch = nil // drop the kept batch, so the call scans
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if _, err := opt.SuggestBatch(10); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	scan() // warm the pools
+	least := scan()
+	for i := 0; i < 4; i++ {
+		least = min(least, scan())
+	}
+	slab := uint64(len(opt.candidates) * len(opt.obs) * 8)
+	if least >= slab {
+		t.Errorf("a scanning SuggestBatch allocated %d bytes, want < one candidate slab (%d bytes)", least, slab)
+	}
+	t.Logf("a scanning SuggestBatch allocated %d bytes; one candidate slab is %d", least, slab)
 }

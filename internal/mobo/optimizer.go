@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"bofl/internal/gp"
 	"bofl/internal/obs"
@@ -42,21 +43,16 @@ type Options struct {
 // objective and suggests new candidates by maximizing EHVI, batching with the
 // sequential-greedy Kriging-believer rule (§4.3 of the paper).
 type Optimizer struct {
-	candidates [][]float64
-	dim        int
-	opts       Options
-
-	observed map[int]bool
-	obs      []Observation
+	dataset
+	opts Options
 
 	modelE *gp.Regressor
 	modelT *gp.Regressor
 
-	// Per-candidate cross-covariance caches against the fitted surrogates,
-	// built lazily on the first SuggestBatch after a Fit and reused across
-	// calls (Kriging-believer fantasies extend transient copies).
-	cacheE *gp.KStarCache
-	cacheT *gp.KStarCache
+	// batch is the last batch SuggestBatch scanned for and batchK the k it
+	// was asked for; Observe and Fit drop it (nil).
+	batch  []Suggestion
+	batchK int
 
 	sink obs.Sink
 }
@@ -73,47 +69,24 @@ var ErrNoObservations = errors.New("mobo: no observations recorded")
 // candidate must be a d-dimensional point, conventionally normalized to
 // [0,1]^d. The slice is retained by the optimizer and must not be mutated.
 func NewOptimizer(candidates [][]float64, opts Options) (*Optimizer, error) {
-	if len(candidates) == 0 {
-		return nil, errors.New("mobo: empty candidate set")
+	d, err := newDataset(candidates)
+	if err != nil {
+		return nil, err
 	}
-	dim := len(candidates[0])
-	if dim == 0 {
-		return nil, errors.New("mobo: zero-dimensional candidates")
-	}
-	for i, c := range candidates {
-		if len(c) != dim {
-			return nil, fmt.Errorf("mobo: candidate %d has dim %d, want %d", i, len(c), dim)
-		}
-	}
-	return &Optimizer{
-		candidates: candidates,
-		dim:        dim,
-		opts:       opts,
-		observed:   make(map[int]bool),
-		sink:       obs.Nop,
-	}, nil
+	return &Optimizer{dataset: d, opts: opts, sink: obs.Nop}, nil
 }
 
 // Observe records evaluated configurations. Re-observing an index updates the
 // dataset with the additional measurement (the GP's noise model averages
-// repeated observations naturally). Invalidates any fitted surrogates.
+// repeated observations naturally). Invalidates any fitted surrogates and
+// the last suggested batch. A batch with an out-of-range index or a
+// wrong-dimension point is rejected whole: nothing is recorded.
 func (o *Optimizer) Observe(obs ...Observation) error {
-	for _, ob := range obs {
-		if ob.Index < 0 || ob.Index >= len(o.candidates) {
-			return fmt.Errorf("mobo: observation index %d out of range [0,%d)", ob.Index, len(o.candidates))
-		}
-		x := ob.X
-		if x == nil {
-			x = o.candidates[ob.Index]
-		}
-		if len(x) != o.dim {
-			return fmt.Errorf("mobo: observation point has dim %d, want %d", len(x), o.dim)
-		}
-		o.obs = append(o.obs, Observation{X: x, Index: ob.Index, Energy: ob.Energy, Latency: ob.Latency})
-		o.observed[ob.Index] = true
+	if err := o.add(obs); err != nil {
+		return err
 	}
 	o.modelE, o.modelT = nil, nil
-	o.cacheE, o.cacheT = nil, nil
+	o.batch = nil
 	return nil
 }
 
@@ -124,26 +97,10 @@ func (o *Optimizer) Observations() []Observation {
 	return out
 }
 
-// NumObserved returns the number of distinct candidate indices observed.
-func (o *Optimizer) NumObserved() int { return len(o.observed) }
-
-// Front returns the Pareto front of the observed (energy, latency) points.
-func (o *Optimizer) Front() []pareto.Point {
-	pts := make([]pareto.Point, len(o.obs))
-	for i, ob := range o.obs {
-		pts[i] = pareto.Point{X: ob.Energy, Y: ob.Latency}
-	}
-	return pareto.Front(pts)
-}
-
 // Reference returns the paper's hypervolume reference point: the
 // component-wise worst observed performance.
 func (o *Optimizer) Reference() (pareto.Point, error) {
-	pts := make([]pareto.Point, len(o.obs))
-	for i, ob := range o.obs {
-		pts[i] = pareto.Point{X: ob.Energy, Y: ob.Latency}
-	}
-	return pareto.ReferenceFrom(pts)
+	return pareto.ReferenceFrom(o.points())
 }
 
 // Hypervolume returns the hypervolume of the current observed front with
@@ -209,7 +166,7 @@ func (o *Optimizer) Fit() error {
 		return err
 	}
 	o.modelE, o.modelT = modelE, modelT
-	o.cacheE, o.cacheT = nil, nil
+	o.batch = nil
 	return nil
 }
 
@@ -246,15 +203,28 @@ type Suggestion struct {
 // or the acquisition signal is exhausted.
 //
 // The candidate scan fans out over the shared worker pool using the
-// per-candidate cross-covariance caches (kernel work is done once per Fit,
+// per-candidate cross-covariance caches (kernel work is done once per call,
 // then extended by one kernel evaluation per fantasy), and the reduction is
 // serial with an explicit lowest-index-wins rule on equal EHVI — parallel
 // and serial scans return identical suggestions. Each pick scores the
 // candidates with the float32 pre-screen and re-scores in float64 only the
 // slice that can win (ehvi32.go), so the suggestions are bit-identical to an
 // all-float64 scan.
+//
+// A call with the k of the last call that scanned, and no Observe or Fit
+// since, returns a copy of that batch without scanning: the scan reads only
+// the observations and the fitted surrogates, so it would pick the same
+// batch. Such a call records no EHVI scan span.
 func (o *Optimizer) SuggestBatch(k int) ([]Suggestion, error) {
-	return o.suggestBatch(k, false)
+	if o.batch != nil && k == o.batchK {
+		return slices.Clone(o.batch), nil
+	}
+	out, err := o.suggestBatch(k, false)
+	if err != nil || k <= 0 {
+		return out, err
+	}
+	o.batch, o.batchK = slices.Clone(out), k
+	return out, nil
 }
 
 // suggestBatch is SuggestBatch; exact scores every live candidate in
@@ -277,14 +247,6 @@ func (o *Optimizer) suggestBatch(k int, exact bool) ([]Suggestion, error) {
 	if err != nil {
 		return nil, err
 	}
-	if o.cacheE == nil {
-		o.cacheE = o.modelE.NewKStarCache(o.candidates)
-	}
-	if o.cacheT == nil {
-		o.cacheT = o.modelT.NewKStarCache(o.candidates)
-	}
-
-	cacheE, cacheT := o.cacheE, o.cacheT
 	front := o.Front()
 	out := make([]Suggestion, 0, k)
 
@@ -296,17 +258,18 @@ func (o *Optimizer) suggestBatch(k int, exact bool) ([]Suggestion, error) {
 	}
 
 	// Kriging-believer chains: the surrogate factors and the candidate
-	// caches grow in place inside preallocated slabs — one slab copy up
-	// front, zero copying per fantasy (k−1 fantasies per batch).
+	// caches grow in place inside pooled slabs with room for the k−1
+	// fantasies of a batch — the caches are built straight into them, and
+	// nothing is copied per fantasy.
 	fanE := o.modelE.NewFantasy(k - 1)
 	defer fanE.Release()
 	fanT := o.modelT.NewFantasy(k - 1)
 	defer fanT.Release()
-	chainE := cacheE.NewChain(k - 1)
+	chainE := o.modelE.NewCacheChain(o.candidates, k-1)
 	defer chainE.Release()
-	chainT := cacheT.NewChain(k - 1)
+	chainT := o.modelT.NewCacheChain(o.candidates, k-1)
 	defer chainT.Release()
-	cacheE, cacheT = chainE.Cur(), chainT.Cur()
+	cacheE, cacheT := chainE.Cur(), chainT.Cur()
 
 	for pick := 0; pick < k; pick++ {
 		// The strip decomposition depends only on the working front, which

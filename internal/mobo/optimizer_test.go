@@ -2,8 +2,11 @@ package mobo
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
+	"bofl/internal/obs"
 	"bofl/internal/pareto"
 )
 
@@ -62,6 +65,143 @@ func TestObserveValidation(t *testing.T) {
 	}
 	if err := opt.Observe(Observation{Index: 0, X: []float64{1, 2}, Energy: 1, Latency: 1}); err == nil {
 		t.Error("wrong-dim explicit point accepted")
+	}
+}
+
+// spanCounter is a sink that counts the spans opened under each name.
+type spanCounter struct {
+	obs.NopSink
+	n map[string]int
+}
+
+func (s *spanCounter) Span(name string, _ ...obs.Label) func() {
+	s.n[name]++
+	return func() {}
+}
+
+// countSpans installs a spanCounter on opt and returns a function reading
+// how many EHVI scans it has recorded.
+func countSpans(opt *Optimizer) func() int {
+	sink := &spanCounter{n: map[string]int{}}
+	opt.SetSink(sink)
+	return func() int { return sink.n[obs.SpanEHVIScan] }
+}
+
+// TestObserveRejectsWholeBatch checks that a batch holding one bad
+// observation records none of the batch: the observed count and the front
+// stay as they were, and so do the surrogates and the last batch, which the
+// next SuggestBatch serves unscanned and a rescan after Fit reproduces.
+func TestObserveRejectsWholeBatch(t *testing.T) {
+	cands := gridCandidates(10, 10)
+	seeds, err := HaltonIndices(8, []int{10, 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := seedOptimizer(t, cands, seeds)
+	scans := countSpans(opt)
+	before, err := opt.SuggestBatch(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, front := opt.NumObserved(), opt.Front()
+	good := Observation{Index: before[0].Index, Energy: 1, Latency: 1}
+	for _, bad := range []Observation{
+		{Index: len(cands), Energy: 1, Latency: 1},
+		{Index: -1, Energy: 1, Latency: 1},
+		{Index: 3, X: []float64{0.5}, Energy: 1, Latency: 1},
+	} {
+		if err := opt.Observe(good, bad); err == nil {
+			t.Fatalf("batch with bad observation %+v accepted", bad)
+		}
+		if got := opt.NumObserved(); got != n {
+			t.Fatalf("rejected batch changed NumObserved: %d → %d", n, got)
+		}
+		if !reflect.DeepEqual(opt.Front(), front) {
+			t.Fatal("rejected batch changed the front")
+		}
+		after, err := opt.SuggestBatch(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(after, before) {
+			t.Fatalf("rejected batch changed the next batch:\n  %v\nvs\n  %v", before, after)
+		}
+	}
+	if got := scans(); got != 1 {
+		t.Errorf("%d EHVI scans, want 1: a rejected batch dropped the kept batch", got)
+	}
+	if err := opt.Fit(); err != nil {
+		t.Fatal(err)
+	}
+	rescanned, err := opt.SuggestBatch(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rescanned, before) {
+		t.Fatalf("rescan after a rejected batch differs:\n  %v\nvs\n  %v", before, rescanned)
+	}
+}
+
+// TestSuggestBatchReusesUnchangedBatch checks that a repeat call at the same
+// k, with no Observe or Fit between, returns the last batch without an EHVI
+// scan, that mutating a returned batch does not reach the kept one, and that
+// a different k, a Fit or an Observe each rescan. Rescans on unchanged
+// observations reproduce the kept batch exactly.
+func TestSuggestBatchReusesUnchangedBatch(t *testing.T) {
+	cands := gridCandidates(10, 10)
+	seeds, err := HaltonIndices(8, []int{10, 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := seedOptimizer(t, cands, seeds)
+	scans := countSpans(opt)
+	suggest := func(k, wantScans int) []Suggestion {
+		t.Helper()
+		got, err := opt.SuggestBatch(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := scans(); n != wantScans {
+			t.Fatalf("after SuggestBatch(%d): %d EHVI scans, want %d", k, n, wantScans)
+		}
+		return got
+	}
+
+	got := suggest(5, 1)
+	if len(got) != 5 {
+		t.Fatalf("got %d suggestions, want 5", len(got))
+	}
+	want := slices.Clone(got)
+	for i := 0; i < 2; i++ {
+		got[0].Index, got[0].EHVI = -1, -1 // mutate the batch just returned
+		if got = suggest(5, 1); !reflect.DeepEqual(got, want) {
+			t.Fatalf("reuse %d returned\n  %v\nwant\n  %v", i+1, got, want)
+		}
+	}
+
+	if got := suggest(3, 2); !reflect.DeepEqual(got, want[:3]) {
+		t.Fatalf("SuggestBatch(3) = %v, want the first 3 of %v", got, want)
+	}
+	if got := suggest(5, 3); !reflect.DeepEqual(got, want) {
+		t.Fatalf("rescan at k = 5 returned\n  %v\nwant\n  %v", got, want)
+	}
+
+	if err := opt.Fit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := suggest(5, 4); !reflect.DeepEqual(got, want) {
+		t.Fatalf("rescan after Fit returned\n  %v\nwant\n  %v", got, want)
+	}
+	suggest(5, 4)
+
+	e, l := synthObjectives(cands[want[0].Index])
+	if err := opt.Observe(Observation{Index: want[0].Index, Energy: e, Latency: l}); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range suggest(5, 5) {
+		if s.Index == want[0].Index {
+			t.Fatalf("batch after Observe suggests the observed index %d", s.Index)
+		}
 	}
 }
 

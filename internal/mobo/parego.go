@@ -1,14 +1,12 @@
 package mobo
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 
 	"bofl/internal/gp"
 	"bofl/internal/obs"
-	"bofl/internal/pareto"
 )
 
 // ParEGO is an alternative multi-objective strategy used as an ablation
@@ -18,13 +16,9 @@ import (
 // the unobserved candidate with maximal expected improvement. It trades the
 // EHVI's global front focus for cheaper single-objective machinery.
 type ParEGO struct {
-	candidates [][]float64
-	dim        int
-	opts       Options
-	rng        *rand.Rand
-
-	observed map[int]bool
-	obs      []Observation
+	dataset
+	opts Options
+	rng  *rand.Rand
 
 	sink obs.Sink
 }
@@ -35,55 +29,21 @@ func (p *ParEGO) SetSink(s obs.Sink) { p.sink = obs.OrNop(s) }
 
 // NewParEGO constructs the scalarizing optimizer over a fixed candidate set.
 func NewParEGO(candidates [][]float64, opts Options) (*ParEGO, error) {
-	if len(candidates) == 0 {
-		return nil, errors.New("mobo: empty candidate set")
-	}
-	dim := len(candidates[0])
-	if dim == 0 {
-		return nil, errors.New("mobo: zero-dimensional candidates")
-	}
-	for i, c := range candidates {
-		if len(c) != dim {
-			return nil, fmt.Errorf("mobo: candidate %d has dim %d, want %d", i, len(c), dim)
-		}
+	d, err := newDataset(candidates)
+	if err != nil {
+		return nil, err
 	}
 	return &ParEGO{
-		candidates: candidates,
-		dim:        dim,
-		opts:       opts,
-		rng:        rand.New(rand.NewSource(opts.Seed)),
-		observed:   make(map[int]bool),
-		sink:       obs.Nop,
+		dataset: d,
+		opts:    opts,
+		rng:     rand.New(rand.NewSource(opts.Seed)),
+		sink:    obs.Nop,
 	}, nil
 }
 
-// Observe records evaluated configurations.
-func (p *ParEGO) Observe(obs ...Observation) error {
-	for _, ob := range obs {
-		if ob.Index < 0 || ob.Index >= len(p.candidates) {
-			return fmt.Errorf("mobo: observation index %d out of range", ob.Index)
-		}
-		x := ob.X
-		if x == nil {
-			x = p.candidates[ob.Index]
-		}
-		p.obs = append(p.obs, Observation{X: x, Index: ob.Index, Energy: ob.Energy, Latency: ob.Latency})
-		p.observed[ob.Index] = true
-	}
-	return nil
-}
-
-// NumObserved returns the number of distinct observed candidates.
-func (p *ParEGO) NumObserved() int { return len(p.observed) }
-
-// Front returns the Pareto front of the observations.
-func (p *ParEGO) Front() []pareto.Point {
-	pts := make([]pareto.Point, len(p.obs))
-	for i, ob := range p.obs {
-		pts[i] = pareto.Point{X: ob.Energy, Y: ob.Latency}
-	}
-	return pareto.Front(pts)
-}
+// Observe records evaluated configurations. A batch with an out-of-range
+// index or a wrong-dimension point is rejected whole: nothing is recorded.
+func (p *ParEGO) Observe(obs ...Observation) error { return p.add(obs) }
 
 // scalarize computes the augmented Tchebycheff value of normalized objectives
 // (f1, f2) under weights (w, 1−w): max(w·f1, (1−w)·f2) + ρ·(w·f1 + (1−w)·f2).

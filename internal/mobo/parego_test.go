@@ -2,6 +2,7 @@ package mobo
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"bofl/internal/pareto"
@@ -29,6 +30,48 @@ func TestParEGOObserveValidation(t *testing.T) {
 	}
 	if _, err := p.SuggestBatch(1); err == nil {
 		t.Error("suggest before observe accepted")
+	}
+}
+
+// TestParEGOObserveRejectsWholeBatch checks that a batch holding one bad
+// observation records none of the batch: the optimizer stays in step with a
+// twin that never saw the batch, in its observed count and its next
+// suggestions.
+func TestParEGOObserveRejectsWholeBatch(t *testing.T) {
+	cands := gridCandidates(6, 6)
+	twins := make([]*ParEGO, 2)
+	for i := range twins {
+		p, err := NewParEGO(cands, Options{Seed: 4, Restarts: 1, Iters: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, idx := range []int{0, 7, 14, 21, 35} {
+			e, l := synthObjectives(cands[idx])
+			if err := p.Observe(Observation{Index: idx, Energy: e, Latency: l}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		twins[i] = p
+	}
+	good := Observation{Index: 3, Energy: 1, Latency: 1}
+	for _, bad := range []Observation{{Index: len(cands)}, {Index: 2, X: []float64{0.5}}} {
+		if err := twins[1].Observe(good, bad); err == nil {
+			t.Fatalf("batch with bad observation %+v accepted", bad)
+		}
+	}
+	if a, b := twins[0].NumObserved(), twins[1].NumObserved(); a != b {
+		t.Fatalf("rejected batches changed NumObserved: %d → %d", a, b)
+	}
+	want, err := twins[0].SuggestBatch(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := twins[1].SuggestBatch(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("rejected batches changed the next batch:\n  %v\nvs\n  %v", want, got)
 	}
 }
 

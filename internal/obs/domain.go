@@ -27,7 +27,7 @@ const (
 	MetricMBOSuggestions = "bofl_mbo_suggestions_total" // counter: candidates suggested
 	MetricAcqBest        = "bofl_acq_best_ehvi"         // gauge: acquisition value of the last chosen candidate
 	SpanGPFit            = "bofl_gp_fit"                // span: one surrogate hyperparameter fit
-	SpanEHVIScan         = "bofl_ehvi_scan"             // span: one SuggestBatch call, k* cache build, believer chain and every pick's scan included
+	SpanEHVIScan         = "bofl_ehvi_scan"             // span: one SuggestBatch call that scans, its k* cache build, believer chain and every pick's scan included; a call that reuses an unchanged batch records none
 	SpanILPSolve         = "bofl_ilp_solve"             // span: one exploitation plan solve
 	SpanMBO              = "bofl_mbo"                   // span: one BetweenRounds computation
 	SpanRound            = "bofl_round_wall"            // span: one controller round (wall time)
@@ -102,7 +102,7 @@ func NewBoFL(clock Clock) *Telemetry {
 	r.Counter(MetricMBOSuggestions, "Candidates suggested by the MBO.")
 	r.Gauge(MetricAcqBest, "Acquisition value (EHVI) of the last chosen candidate.")
 	r.Histogram(SpanGPFit+"_seconds", "GP surrogate hyperparameter fit duration.", DurationBuckets)
-	r.Histogram(SpanEHVIScan+"_seconds", "SuggestBatch duration: k* cache build, believer chain and candidate scans.", DurationBuckets)
+	r.Histogram(SpanEHVIScan+"_seconds", "Duration of a SuggestBatch call that scans: k* cache build, believer chain and candidate scans. A call that reuses an unchanged batch is not recorded.", DurationBuckets)
 	r.Histogram(SpanILPSolve+"_seconds", "Exploitation ILP solve duration.", DurationBuckets)
 	r.Histogram(SpanMBO+"_seconds", "BetweenRounds MBO wall time.", DurationBuckets)
 	r.Histogram(SpanRound+"_seconds", "Controller round wall time.", DurationBuckets)

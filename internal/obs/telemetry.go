@@ -201,10 +201,10 @@ func RegisterPprof(mux *http.ServeMux) {
 }
 
 // ServePprof starts a background HTTP server exposing only pprof on addr —
-// the batch binaries' -pprof flag. Errors after startup are dropped: profiling
-// must never take a run down.
+// the batch binaries' -pprof flag — with NewServer's listener timeouts.
+// Errors after startup are dropped: profiling must never take a run down.
 func ServePprof(addr string) {
 	mux := http.NewServeMux()
 	RegisterPprof(mux)
-	go func() { _ = http.ListenAndServe(addr, mux) }()
+	go func() { _ = NewServer(addr, mux).ListenAndServe() }()
 }

@@ -160,3 +160,45 @@ func TestItoa(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseTraceContext feeds arbitrary header values to ParseTraceContext,
+// the parser every peer-supplied X-Bofl-Trace header goes through. An
+// accepted value must be valid and round-trip through String; a rejected one
+// must yield the zero context. Splitting the input at its first '-' gives an
+// arbitrary, possibly hostile, context, which Sanitized must keep when
+// valid and zero otherwise, and which a second Sanitized must not change. The seed
+// corpus is checked in under testdata/fuzz/FuzzParseTraceContext.
+func FuzzParseTraceContext(f *testing.F) {
+	f.Add(MintTrace(1, 1).String())
+	f.Add(MintTrace(20260806, 7).Child("attempt", "cli-0", "0").String())
+	f.Fuzz(func(t *testing.T, s string) {
+		c, ok := ParseTraceContext(s)
+		if ok {
+			if !c.Valid() {
+				t.Fatalf("accepted %q as an invalid context %+v", s, c)
+			}
+			if got := c.String(); got != s {
+				t.Fatalf("accepted %q, which renders back as %q", s, got)
+			}
+		} else if c != (TraceContext{}) {
+			t.Fatalf("rejected %q but returned %+v", s, c)
+		}
+
+		tid, sid, _ := strings.Cut(s, "-")
+		raw := TraceContext{TraceID: tid, SpanID: sid}
+		if ok && raw != c {
+			t.Fatalf("accepted %q as %+v, its split at '-' is %+v", s, c, raw)
+		}
+		san := raw.Sanitized()
+		want := TraceContext{}
+		if raw.Valid() {
+			want = raw
+		}
+		if san != want {
+			t.Fatalf("Sanitized(%+v) = %+v, want %+v", raw, san, want)
+		}
+		if again := san.Sanitized(); again != san {
+			t.Fatalf("Sanitized not idempotent on %+v: %+v, then %+v", raw, san, again)
+		}
+	})
+}
