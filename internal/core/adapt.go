@@ -46,8 +46,8 @@ func (c *Controller) updateDrift(a *aggObs, perJobLat float64) bool {
 func (c *Controller) readapt(trigger *aggObs) error {
 	ratio := trigger.ewmaLat / trigger.meanLatency()
 
-	dataset := make([]mobo.Observation, 0, len(c.observed))
-	for idx, a := range c.observed {
+	dataset := make([]mobo.Observation, 0, len(c.order))
+	for _, a := range c.order {
 		// Configurations with a *recent* window of their own use it;
 		// the rest — including ones whose window is a relic of the
 		// previous regime — are scaled by the global drift estimate.
@@ -63,7 +63,7 @@ func (c *Controller) readapt(trigger *aggObs) error {
 		a.sumE *= sqrtScale(scale)
 		a.ewmaLat = newLat
 		dataset = append(dataset, mobo.Observation{
-			Index:   idx,
+			Index:   a.idx,
 			Energy:  a.meanEnergy(),
 			Latency: a.meanLatency(),
 		})

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"bofl/internal/device"
+	"bofl/internal/mobo"
 )
 
 // thermalExec simulates a board that heats up: after warmupJobs jobs, every
@@ -205,5 +207,62 @@ func TestThermalDeviceModel(t *testing.T) {
 	}
 	if td.Device() != dev {
 		t.Error("Device() accessor broken")
+	}
+}
+
+// TestReadaptKeepsFirstObservationOrder drives the throttled task of
+// TestDriftDetectionTriggersReadapt and checks the MBO dataset the
+// re-adaptation rebuilds: its observations must follow the order in which
+// the configurations were first observed — the order the explored lists of
+// the round reports give — on every run. A GP's posterior depends on its
+// training order, so any other order makes the refit after a drift vary
+// between runs of one seed.
+func TestReadaptKeepsFirstObservationOrder(t *testing.T) {
+	dev := device.JetsonAGX()
+	space := smallSpace()
+	xmaxLat, err := dev.Latency(device.ViT, space.Max())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() (got, want []int) {
+		c, err := New(space, Options{Seed: 3, Tau: 2, DriftThreshold: 0.2, MBORestarts: 1, MBOIters: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		exec := &thermalExec{dev: dev, w: device.ViT, warmupJobs: 8 * 60, slowdown: 1.4}
+		deadlines := mkDeadlines(xmaxLat*60*1.7, 2.2, 30, 5)
+		seen := map[int]bool{}
+		for r := 0; r < 30; r++ {
+			rep, err := c.RunRound(60, deadlines[r], exec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, idx := range rep.Explored {
+				if !seen[idx] {
+					seen[idx] = true
+					want = append(want, idx)
+				}
+			}
+			if _, err := c.BetweenRounds(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if c.Readapts() == 0 {
+			t.Fatal("drift never triggered a re-adaptation")
+		}
+		opt, ok := c.optimizer.(*mobo.Optimizer)
+		if !ok {
+			t.Fatalf("optimizer is %T, want *mobo.Optimizer", c.optimizer)
+		}
+		for _, o := range opt.Observations() {
+			got = append(got, o.Index)
+		}
+		return got, want
+	}
+	for i := 0; i < 3; i++ {
+		got, want := run()
+		if !slices.Equal(got, want) {
+			t.Fatalf("run %d: optimizer observations %v, want first-observation order %v", i, got, want)
+		}
 	}
 }

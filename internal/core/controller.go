@@ -18,9 +18,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"bofl/internal/device"
+	"bofl/internal/ilp"
 	"bofl/internal/mobo"
 	"bofl/internal/obs"
 	"bofl/internal/pareto"
@@ -228,6 +230,7 @@ func (o Options) validate() error {
 
 // aggObs accumulates repeated measurements of one configuration.
 type aggObs struct {
+	idx      int // candidate index
 	jobs     int
 	sumLat   float64
 	sumE     float64
@@ -255,6 +258,11 @@ func (a *aggObs) predLatency() float64 {
 func (a *aggObs) meanLatency() float64 { return a.sumLat / float64(a.jobs) }
 func (a *aggObs) meanEnergy() float64  { return a.sumE / float64(a.jobs) }
 
+// point is the mean observation as an (energy, latency) point.
+func (a *aggObs) point() pareto.Point {
+	return pareto.Point{X: a.meanEnergy(), Y: a.meanLatency()}
+}
+
 // Controller is the BoFL pace controller for one device and one FL task.
 type Controller struct {
 	opts  Options
@@ -269,6 +277,11 @@ type Controller struct {
 	xmaxIdx  int
 	xmaxObs  *aggObs
 	observed map[int]*aggObs
+	// order holds the observed configurations in first-observation order,
+	// the order they entered the optimizer. Everything that walks the
+	// observations walks this list, so datasets, snapshots, fronts and
+	// figures never depend on map iteration order.
+	order []*aggObs
 
 	deadlineSum   float64 // for T_avg over phase-1 rounds
 	deadlineCount int
@@ -282,6 +295,15 @@ type Controller struct {
 	// sink receives domain metrics and spans; obs.Nop unless SetSink
 	// installed a live telemetry backend.
 	sink obs.Sink
+
+	// Exploit-path scratch, reused across rounds: the observed points, the
+	// front's positions in order, and the ILP plan's options, candidates
+	// and execution slots.
+	pts      []pareto.Point
+	front    []int
+	planOpts []ilp.Option
+	planIdx  []int
+	slots    []planSlot
 }
 
 var _ PaceController = (*Controller)(nil)
@@ -358,38 +380,51 @@ func (c *Controller) NumExplored() int { return len(c.observed) }
 // Front returns the Pareto front of mean observations as (energy, latency)
 // points.
 func (c *Controller) Front() []pareto.Point {
-	pts := make([]pareto.Point, 0, len(c.observed))
-	for _, a := range c.observed {
-		pts = append(pts, pareto.Point{X: a.meanEnergy(), Y: a.meanLatency()})
+	pos := c.frontPositions()
+	if len(pos) == 0 {
+		return nil
 	}
-	return pareto.Front(pts)
+	out := make([]pareto.Point, len(pos))
+	for k, p := range pos {
+		out[k] = c.pts[p]
+	}
+	return out
 }
 
 // ObservedPoints returns every explored configuration's mean observation as
-// an (energy, latency) point — the exploration cloud of Figure 11.
+// an (energy, latency) point, in first-observation order — the exploration
+// cloud of Figure 11.
 func (c *Controller) ObservedPoints() []pareto.Point {
-	pts := make([]pareto.Point, 0, len(c.observed))
-	for _, a := range c.observed {
-		pts = append(pts, pareto.Point{X: a.meanEnergy(), Y: a.meanLatency()})
-	}
-	return pts
+	return slices.Clone(c.points())
 }
 
 // FrontIndices returns the candidate indices whose mean observations form the
 // current Pareto front.
 func (c *Controller) FrontIndices() []int {
-	idxs := make([]int, 0, len(c.observed))
-	pts := make([]pareto.Point, 0, len(c.observed))
-	for i, a := range c.observed {
-		idxs = append(idxs, i)
-		pts = append(pts, pareto.Point{X: a.meanEnergy(), Y: a.meanLatency()})
-	}
-	sel := pareto.FrontIndices(pts)
-	out := make([]int, len(sel))
-	for k, s := range sel {
-		out[k] = idxs[s]
+	pos := c.frontPositions()
+	out := make([]int, len(pos))
+	for k, p := range pos {
+		out[k] = c.order[p].idx
 	}
 	return out
+}
+
+// points fills the controller's point scratch with every observation's mean,
+// in first-observation order, and returns it.
+func (c *Controller) points() []pareto.Point {
+	c.pts = c.pts[:0]
+	for _, a := range c.order {
+		c.pts = append(c.pts, a.point())
+	}
+	return c.pts
+}
+
+// frontPositions computes the observed Pareto front into the controller's
+// scratch: positions in c.order (and c.pts) in ascending energy, exact ties
+// going to the earlier observation. Valid until the next call.
+func (c *Controller) frontPositions() []int {
+	c.front = pareto.AppendFrontIndices(c.front[:0], c.points())
+	return c.front
 }
 
 // ErrNoJobs is returned when RunRound is called with a non-positive job
@@ -402,8 +437,9 @@ func (c *Controller) observe(index int, jobs int, sumLat, sumE float64) error {
 	a, ok := c.observed[index]
 	isNew := !ok
 	if isNew {
-		a = &aggObs{}
+		a = &aggObs{idx: index}
 		c.observed[index] = a
+		c.order = append(c.order, a)
 	}
 	a.jobs += jobs
 	a.sumLat += sumLat
@@ -449,7 +485,7 @@ func newSuggester(candidates [][]float64, opts Options) (suggester, error) {
 // hypervolume computes the hypervolume of the observed front against the
 // worst-observed reference point (the paper's reference choice, §4.3).
 func (c *Controller) hypervolume() (float64, error) {
-	pts := c.ObservedPoints()
+	pts := c.points()
 	ref, err := pareto.ReferenceFrom(pts)
 	if err != nil {
 		return 0, err

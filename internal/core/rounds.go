@@ -150,7 +150,7 @@ func (c *Controller) RunRound(jobs int, deadline float64, exec Executor) (RoundR
 		Energy:      rs.energy,
 		DeadlineMet: rs.duration <= deadline,
 		Explored:    rs.explored,
-		FrontSize:   len(c.Front()),
+		FrontSize:   len(c.frontPositions()),
 	}
 	c.recordRound(report)
 	return report, nil

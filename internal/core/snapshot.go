@@ -53,9 +53,9 @@ func (c *Controller) Snapshot() Snapshot {
 		HaveHV:        c.haveHV,
 		SpaceSize:     len(c.candidates),
 	}
-	for idx, a := range c.observed {
+	for _, a := range c.order {
 		s.Observations = append(s.Observations, obsSnapshot{
-			Index:    idx,
+			Index:    a.idx,
 			Jobs:     a.jobs,
 			SumLat:   a.sumLat,
 			SumE:     a.sumE,
@@ -97,6 +97,7 @@ func (c *Controller) Restore(s Snapshot) error {
 		}
 	}
 	observed := make(map[int]*aggObs, len(s.Observations))
+	order := make([]*aggObs, 0, len(s.Observations))
 	var xmaxObs *aggObs
 	dataset := make([]mobo.Observation, 0, len(s.Observations))
 	for _, o := range s.Observations {
@@ -106,8 +107,12 @@ func (c *Controller) Restore(s Snapshot) error {
 		if o.Jobs <= 0 || o.SumLat <= 0 || o.SumE < 0 {
 			return fmt.Errorf("core: snapshot observation %d malformed", o.Index)
 		}
-		a := &aggObs{jobs: o.Jobs, sumLat: o.SumLat, sumE: o.SumE, duration: o.Duration}
+		if _, dup := observed[o.Index]; dup {
+			return fmt.Errorf("core: snapshot observes index %d twice", o.Index)
+		}
+		a := &aggObs{idx: o.Index, jobs: o.Jobs, sumLat: o.SumLat, sumE: o.SumE, duration: o.Duration}
 		observed[o.Index] = a
+		order = append(order, a)
 		if o.Index == c.xmaxIdx {
 			xmaxObs = a
 		}
@@ -133,6 +138,7 @@ func (c *Controller) Restore(s Snapshot) error {
 	c.optimizer = optimizer
 	c.pushSink()
 	c.observed = observed
+	c.order = order
 	c.xmaxObs = xmaxObs
 	c.phase = s.Phase
 	c.round = s.Round

@@ -219,3 +219,50 @@ func TestRestoreFailureLeavesControllerUsable(t *testing.T) {
 		t.Errorf("controller unusable after failed restore: %v", err)
 	}
 }
+
+// TestSnapshotBytesDeterministic pins the snapshot's observation order: two
+// snapshots of one controller are byte-identical, and a controller restored
+// from one writes it back unchanged, because Restore rebuilds the
+// first-observation order from the snapshot's order.
+func TestSnapshotBytesDeterministic(t *testing.T) {
+	c, _ := trainedController(t, 15)
+	var a, b bytes.Buffer
+	if err := c.WriteSnapshot(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WriteSnapshot(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatalf("two snapshots of one controller differ:\n%s\n%s", a.Bytes(), b.Bytes())
+	}
+	restored, err := New(smallSpace(), Options{Seed: 9, Tau: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.ReadSnapshot(bytes.NewReader(a.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	var r bytes.Buffer
+	if err := restored.WriteSnapshot(&r); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(r.Bytes(), a.Bytes()) {
+		t.Fatalf("restored controller's snapshot differs from the one it was restored from")
+	}
+}
+
+// TestRestoreRejectsDuplicateObservation: a snapshot lists each
+// configuration once; a repeated index is malformed.
+func TestRestoreRejectsDuplicateObservation(t *testing.T) {
+	c, _ := trainedController(t, 6)
+	s := c.Snapshot()
+	s.Observations = append(s.Observations, s.Observations[0])
+	fresh, err := New(smallSpace(), Options{Seed: 9, Tau: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.Restore(s); err == nil {
+		t.Fatal("snapshot with a duplicated observation accepted")
+	}
+}

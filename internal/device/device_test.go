@@ -2,6 +2,7 @@ package device
 
 import (
 	"math"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -486,5 +487,28 @@ func TestEnergyScaleInvariantToWorkRescale(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestClientIDFormat pins the fleet client id to "f" plus the decimal index,
+// across digit-count boundaries, a 2^40 index and a negative one.
+func TestClientIDFormat(t *testing.T) {
+	for _, i := range []int{0, 9, 10, 99, 100, 123456, 1 << 40, -7, math.MinInt64} {
+		if got, want := ClientID(i), "f"+strconv.Itoa(i); got != want {
+			t.Errorf("ClientID(%d) = %q, want %q", i, got, want)
+		}
+	}
+}
+
+// clientIDSink keeps ClientID's result escaping, as it does in the fleet
+// engine, so the compiler cannot place the string on the stack.
+var clientIDSink string
+
+// TestClientIDAllocs pins ClientID to one allocation, the returned string:
+// the fleet engine formats one id per simulated client per round.
+func TestClientIDAllocs(t *testing.T) {
+	i := 123456
+	if got := testing.AllocsPerRun(100, func() { clientIDSink = ClientID(i); i++ }); got > 1 {
+		t.Fatalf("ClientID allocates %.1f times, want 1", got)
 	}
 }

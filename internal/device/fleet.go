@@ -188,8 +188,13 @@ const (
 	drawPower
 )
 
-// ClientID formats the canonical fault-plane client id for fleet index i.
-func ClientID(i int) string { return "f" + strconv.Itoa(i) }
+// ClientID formats the canonical fault-plane client id for fleet index i:
+// "f" followed by i in decimal. The id is built in a stack buffer, so the
+// returned string is its only allocation.
+func ClientID(i int) string {
+	var buf [24]byte // 'f', a sign and up to 19 digits
+	return string(strconv.AppendInt(append(buf[:0], 'f'), int64(i), 10))
+}
 
 // Client samples the spec for client index i — a pure function of
 // (population seed, i) via the fault plane's order-independent hash, so a

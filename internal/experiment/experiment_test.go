@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -470,6 +471,43 @@ func TestAblationControllersRun(t *testing.T) {
 		}
 		if run.TotalEnergy <= 0 {
 			t.Errorf("%s: no energy", kind)
+		}
+	}
+}
+
+// TestFigure11ExploredOrderStable pins the order of Figure 11's exploration
+// cloud: the controller lists its observations in first-observation order,
+// so repeated Figure11For calls, and repeated runs of one seed, return
+// Explored in the same order (and its CSV rows with it).
+func TestFigure11ExploredOrderStable(t *testing.T) {
+	dev, task := shortTask(t, 2.0)
+	explored := func() []*Figure11Data {
+		run, err := RunTask(RunConfig{
+			Device: dev, Task: task, Rounds: 12, Controller: KindBoFL,
+			Seed: 5, CtrlOptions: fastOpts(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []*Figure11Data
+		for i := 0; i < 2; i++ {
+			f11, err := Figure11For(dev, task, run)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, f11)
+		}
+		return out
+	}
+	want := explored()[0].Explored
+	if len(want) < 3 {
+		t.Fatalf("only %d explored points", len(want))
+	}
+	for r := 0; r < 2; r++ {
+		for i, f11 := range explored() {
+			if !slices.Equal(f11.Explored, want) {
+				t.Fatalf("run %d call %d: explored order differs:\n%v\n%v", r, i, f11.Explored, want)
+			}
 		}
 	}
 }

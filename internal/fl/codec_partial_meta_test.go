@@ -97,10 +97,11 @@ func metaEqual(a, b partialMeta) bool {
 		a.Adds == b.Adds && a.TraceID == b.TraceID && a.SpanID == b.SpanID
 }
 
-// TestPartialFrameCycleAllocs pins the pooled tier-close wire path: once the
-// codec pools are warm, a full SerializeInto → Encode → DecodeInto → Absorb
-// cycle — what every tier aggregator runs per node close — must stay on
-// pooled state. Below gzipThreshold (dim 256, a fleet close) it allocates at
+// TestPartialFrameCycleAllocs pins the pooled tier-to-tier wire path: once
+// the codec pools are warm, a full SerializeInto → Encode → DecodeInto →
+// Absorb cycle — what a tier aggregator in another process would run per
+// node close; the in-process spine only encodes, to count the bytes — must
+// stay on pooled state. Below gzipThreshold (dim 256, a fleet close) it allocates at
 // most a handful of objects; the budget tolerates pool churn under GC
 // pressure while catching any per-frame regression (escaping headers,
 // metadata structs, trace strings). At the round-http model's dim the frame

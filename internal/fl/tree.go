@@ -12,19 +12,24 @@ package fl
 // how many leaves the tree covers, and the root sum is bit-identical to the
 // flat fold for any fanout.
 //
-// Every group close serializes the group's accumulator window into a BFL1
-// partial-aggregate frame, and the parent absorbs it through the decoder —
-// the in-process tree exercises the identical wire path a distributed tier
-// deployment would, and the frame bytes are journaled per tier. The cycle
-// runs on pooled state (serialize target, frame buffer, decode target), so
-// below gzipThreshold a close allocates nothing in steady state. A gzipped
-// window reuses the same pooled buffers, but compress/flate's inflater
-// allocates Huffman tables per block: a 533 kB round-http window costs about
-// 90 allocations and 7–40 kB per close. A spine may cover part of a tree:
-// it starts at an absolute leaf, takes its inputs at a base tier — leaves at
-// tier 0, or child partials above it — and closes groups up to a top tier.
-// The top group's frame is received by the caller: into the spine's root
-// accumulator (Root), or decoded for another spine's base tier (Partial).
+// Every group close merges the group's accumulator into its parent's open
+// group with exact.Vec.AddVec, carrying its weight and leaf survivors along.
+// Exact addition makes that merge bit-identical to what a distributed tier
+// does — ship the group as a BFL1 partial-aggregate frame and absorb the
+// decoded frame — and the codec tests and FuzzPartialAggregate hold that
+// decode(encode(x)) == x. Each close encodes its frame all the same, into a
+// writer that keeps only its length: the frame's size is the wire traffic
+// the ledger journals per tier, and deflate's output size cannot be known
+// without running it. Nothing parses the bytes back. The close runs on
+// pooled state (the serialize target and the encoder's scratch buffers and
+// gzip writers), so in steady state it allocates nothing, gzipped or not.
+//
+// A spine may cover part of a tree: it starts at an absolute leaf, takes its
+// inputs at a base tier — leaves at tier 0, or child partials above it — and
+// closes groups up to a top tier, whose group merges into the spine's root
+// tier like any other. The caller reads the result from there: the root
+// accumulator itself (Root), or the top group's partial for another spine's
+// base tier (Partial).
 //
 // Per-tier quorum composes with the round-level machinery: a group whose
 // delivering children fall below ⌈TierQuorum · children⌉ is discarded whole
@@ -33,7 +38,6 @@ package fl
 // over the surviving siblings by doing nothing at all.
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 
@@ -118,7 +122,7 @@ type TreeFold struct {
 	journal func(ledger.Event)
 
 	// tiers is indexed by absolute tier; base..top+1 are live in a run, and
-	// tier top+1 receives the top group's frame (see Root).
+	// the top group merges into tier top+1, the spine's root tier (see Root).
 	tiers []*treeTier
 
 	// Per-run state.
@@ -127,15 +131,24 @@ type TreeFold struct {
 	labels    []obs.Label // tc's child-span labels, kept while tc repeats
 	n         int         // leaves in the whole tree
 	base, top int
-	pending   bool     // the top group shipped a frame not yet received
 	dropped   [][2]int // leaf spans discarded by per-tier quorum, inclusive
 	stats     TreeStats
 	err       error // first wire/merge failure; aborts the round
 
-	// Pooled frame cycle state.
-	ser exact.Serialized
-	buf bytes.Buffer
-	dec PartialAggregate
+	// Pooled frame state: the last shipped partial (the top group's, once
+	// the run's last Advance has returned) and the writer its frame's bytes
+	// are counted in.
+	last  PartialAggregate
+	count byteCounter
+}
+
+// byteCounter is an io.Writer that keeps only the length of what it is
+// given: the wire size of a frame nobody reads back.
+type byteCounter int64
+
+func (c *byteCounter) Write(p []byte) (int, error) {
+	*c += byteCounter(len(p))
+	return len(p), nil
 }
 
 // NewTreeFold builds a spine over dim-wide fold vectors. Closes report to
@@ -154,7 +167,6 @@ func (f *TreeFold) Reset(round int, tc obs.TraceContext, n, lo, base, top int) {
 		f.labels = tc.ChildLabels()
 	}
 	f.tc = tc
-	f.pending = false
 	f.dropped = f.dropped[:0]
 	f.stats, f.err = TreeStats{}, nil
 	for len(f.tiers) <= top+1 {
@@ -190,17 +202,24 @@ func (f *TreeFold) Leaf(scale float64, x []float64, w int64, at float64) {
 	}
 }
 
-// Child absorbs one decoded child partial into the open base-tier group,
-// taking the child's weight and leaf survivors from the frame; nil is a child
-// that shipped nothing (dropped or vacuous) but still completed at at.
+// Child absorbs one child partial into the open base-tier group, taking the
+// child's weight and leaf survivors from the partial; nil is a child that
+// shipped nothing (dropped or vacuous) but still completed at at.
 func (f *TreeFold) Child(pa *PartialAggregate, at float64) {
 	tier := f.tiers[f.base]
 	if at > tier.latest {
 		tier.latest = at
 	}
-	if pa != nil {
-		f.absorb(f.base, pa)
+	if pa == nil {
+		return
 	}
+	if err := tier.vec.Absorb(pa.Sum); err != nil {
+		f.fail(fmt.Errorf("fl: tier %d node %d: absorb partial: %w", pa.Tier, pa.Node, err))
+		return
+	}
+	tier.weight += pa.Weight
+	tier.survivors += pa.Survivors
+	tier.arrived++
 }
 
 // Advance closes every group whose span ends at leaf i, from the base tier
@@ -217,7 +236,7 @@ func (f *TreeFold) Advance(i int) {
 }
 
 // closeGroup finalizes tier t's open group ending at leaf i: quorum-check it,
-// then either ship a partial frame towards the parent or discard the subtree.
+// then either ship it into the parent's open group or discard the subtree.
 func (f *TreeFold) closeGroup(t, i int) {
 	endSpan := f.sink.Span(obs.SpanFLTierFold, f.labels...)
 	defer endSpan()
@@ -248,11 +267,7 @@ func (f *TreeFold) closeGroup(t, i int) {
 		// tier quorum configured): nothing to forward, nothing to journal.
 	case f.ship(t, node, i):
 		at += f.hop
-		if t < f.top {
-			f.receive(t + 1)
-		} else {
-			f.pending = true
-		}
+		f.merge(tier, parent)
 	}
 	parent.attempted++
 	if at > parent.latest {
@@ -263,23 +278,25 @@ func (f *TreeFold) closeGroup(t, i int) {
 	tier.latest, tier.leafLo = 0, i+1
 }
 
-// ship encodes tier t's open group (node, ending at leaf i) into f.buf as a
-// partial frame and journals it. It reports whether a frame was produced.
+// ship encodes tier t's open group (node, ending at leaf i) as a partial
+// frame, counting its bytes, and journals it. It reports whether a frame was
+// produced.
 func (f *TreeFold) ship(t, node, i int) bool {
 	tier := f.tiers[t]
-	tier.vec.SerializeInto(&f.ser)
-	pa := PartialAggregate{
+	sum := f.last.Sum
+	tier.vec.SerializeInto(&sum)
+	f.last = PartialAggregate{
 		Round: f.round, Tier: t, Node: node,
 		LeafLo: tier.leafLo, LeafHi: i,
 		Survivors: tier.survivors, Weight: tier.weight,
-		Sum: f.ser, Trace: f.tc,
+		Sum: sum, Trace: f.tc,
 	}
-	f.buf.Reset()
-	if err := EncodePartialAggregate(&f.buf, pa); err != nil {
+	f.count = 0
+	if err := EncodePartialAggregate(&f.count, f.last); err != nil {
 		f.fail(fmt.Errorf("fl: tier %d node %d: encode partial: %w", t, node, err))
 		return false
 	}
-	wire := int64(f.buf.Len())
+	wire := int64(f.count)
 	f.stats.Partials++
 	f.stats.WireBytes += wire
 	f.sink.Count(obs.MetricFLPartials, 1)
@@ -292,33 +309,17 @@ func (f *TreeFold) ship(t, node, i int) bool {
 	return true
 }
 
-// receive decodes the frame in f.buf and absorbs it into tier t's open group.
-func (f *TreeFold) receive(t int) {
-	if f.decode(&f.dec) {
-		f.absorb(t, &f.dec)
-	}
-}
-
-// decode decodes the frame in f.buf into pa.
-func (f *TreeFold) decode(pa *PartialAggregate) bool {
-	if err := DecodePartialAggregateInto(&f.buf, pa); err != nil {
-		f.fail(fmt.Errorf("fl: decode partial: %w", err))
-		return false
-	}
-	return true
-}
-
-// absorb folds a decoded child partial into tier t's open group, taking the
-// child's weight and leaf survivors from the frame.
-func (f *TreeFold) absorb(t int, pa *PartialAggregate) {
-	tier := f.tiers[t]
-	if err := tier.vec.Absorb(pa.Sum); err != nil {
-		f.fail(fmt.Errorf("fl: tier %d node %d: absorb partial: %w", pa.Tier, pa.Node, err))
+// merge folds a shipped group into its parent's open group, carrying its
+// weight and leaf survivors. AddVec is exact, so the parent ends up
+// bit-identical to absorbing the group's decoded frame.
+func (f *TreeFold) merge(group, parent *treeTier) {
+	if err := parent.vec.AddVec(group.vec); err != nil {
+		f.fail(fmt.Errorf("fl: merge partial: %w", err))
 		return
 	}
-	tier.weight += pa.Weight
-	tier.survivors += pa.Survivors
-	tier.arrived++
+	parent.weight += group.weight
+	parent.survivors += group.survivors
+	parent.arrived++
 }
 
 func (f *TreeFold) record(ev ledger.Event) {
@@ -333,31 +334,26 @@ func (f *TreeFold) fail(err error) {
 	}
 }
 
-// Partial decodes the top group's frame into pa and reports whether the top
-// group shipped one: the receiving half of the top close, for a caller that
-// forwards the partial to another spine's Child. Valid only after the run's
-// last Advance.
+// Partial fills pa with the top group's partial — the frame's metadata and
+// a copy of its serialized window, reusing pa.Sum.Limbs when it has capacity
+// — and reports whether the top group shipped one: for a caller that
+// forwards the partial to another spine's Child. The top group is the root
+// tier's only arrival. Valid only after the run's last Advance.
 func (f *TreeFold) Partial(pa *PartialAggregate) bool {
-	if !f.pending {
+	if f.top < f.base || f.tiers[f.top+1].arrived == 0 {
 		return false
 	}
-	f.pending = false
-	pa.Trace = f.tc // the decoder's reuse hint: the frame carries this trace
-	return f.decode(pa)
+	limbs := append(pa.Sum.Limbs[:0], f.last.Sum.Limbs...)
+	*pa = f.last
+	pa.Sum.Limbs = limbs
+	return true
 }
 
-// Root absorbs the top group's frame, if it shipped one, into the root
-// accumulator (tier top+1) and returns that accumulator with its total weight
-// and leaf survivors. Valid only after the run's last Advance.
+// Root returns the root accumulator (tier top+1), into which the top group
+// merged if it shipped, with its total weight and leaf survivors. Valid only
+// after the run's last Advance.
 func (f *TreeFold) Root() (vec *exact.Vec, weight int64, survivors int) {
 	root := f.tiers[f.top+1]
-	if f.pending {
-		// The receiving half of the top group's close.
-		endSpan := f.sink.Span(obs.SpanFLTierFold, f.labels...)
-		f.pending = false
-		f.receive(f.top + 1)
-		endSpan()
-	}
 	return root.vec, root.weight, root.survivors
 }
 

@@ -3,8 +3,9 @@
 // (device.Population) through the hierarchical aggregation tree in *virtual*
 // time (simclock.Sim): every client's round — downlink, local training,
 // uplink — is priced from its sampled fleet profile, partial sums climb the
-// tree as BFL1 partial-aggregate frames, and the round's wall time is the
-// slowest surviving path to the root, not the machine the simulator runs on.
+// tree by exact merges, each hop counted as the BFL1 partial-aggregate frame
+// it would ship, and the round's wall time is the slowest surviving path to
+// the root, not the machine the simulator runs on.
 //
 // The tree is the serving plane's: every tier fold runs through fl.TreeFold,
 // the streaming spine fl.Server's tree rounds use, so tier quorum, partial
@@ -21,8 +22,8 @@
 // A round is sharded at a fixed tier of the tree into independent subtrees,
 // simulated concurrently on the internal/parallel pool: each worker owns a
 // pooled spine (leaves up to the shard tier) and scratch arena, so the leaf
-// fold path allocates nothing per client, and each shard leaves its decoded
-// partial frame in its indexed result slot. The shard layout is a pure
+// fold path allocates nothing per client, and each shard leaves its top
+// partial in its indexed result slot. The shard layout is a pure
 // function of (Clients, Fanout) — never of the worker count — and every
 // per-shard draw is a pure function of (seed, index, round), so the committed
 // model, the stats and the ledger are byte-identical at any GOMAXPROCS or
@@ -387,7 +388,7 @@ type leafResult struct {
 }
 
 // shardOut is one shard's slot in the indexed result array: the partial its
-// subtree shipped (decoded by the worker, so the serial merge only absorbs),
+// subtree shipped (copied out by the worker, so the serial merge only absorbs),
 // when that result reached the shard tier's parent, its stats partial and its
 // buffered ledger events. Slots are reused across rounds, so steady-state
 // shard dispatch allocates nothing.

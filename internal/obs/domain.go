@@ -140,7 +140,7 @@ func NewBoFL(clock Clock) *Telemetry {
 	r.Counter(MetricFLPartials, "Tier partial aggregates forwarded toward the root.")
 	r.Counter(MetricFLSubtreeDrops, "Subtrees discarded for missing the per-tier quorum.")
 	r.Histogram(SpanFLFold+"_seconds", "Streaming FedAvg fold duration per arriving update.", DurationBuckets)
-	r.Histogram(SpanFLTierFold+"_seconds", "Tier aggregator group close: serialize, ship, absorb.", DurationBuckets)
+	r.Histogram(SpanFLTierFold+"_seconds", "Tier aggregator group close: quorum check, encode the partial frame to count its bytes, merge into the parent.", DurationBuckets)
 	r.Histogram(SpanFLRetry+"_seconds", "Backoff wait before a retried participant attempt.", DurationBuckets)
 	r.Histogram(SpanFLAttempt+"_seconds", "One fault-injected participant attempt, retries excluded.", DurationBuckets)
 

@@ -8,8 +8,10 @@
 package pareto
 
 import (
+	"cmp"
 	"errors"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -69,32 +71,42 @@ func Front(pts []Point) []Point {
 // non-dominated points, preferring earlier indices among duplicates. The
 // returned indices are in ascending order of pts[i].X.
 func FrontIndices(pts []Point) []int {
-	if len(pts) == 0 {
-		return nil
+	return AppendFrontIndices(nil, pts)
+}
+
+// AppendFrontIndices appends FrontIndices(pts) to dst and returns the
+// extended slice. It needs room for len(pts) indices beyond len(dst) as
+// scratch, so a caller that reuses dst across calls allocates nothing once
+// its capacity covers the largest input.
+func AppendFrontIndices(dst []int, pts []Point) []int {
+	base := len(dst)
+	for i := range pts {
+		dst = append(dst, i)
 	}
-	order := make([]int, len(pts))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		pi, pj := pts[order[a]], pts[order[b]]
-		if pi.X != pj.X {
-			return pi.X < pj.X
+	order := dst[base:]
+	slices.SortFunc(order, func(i, j int) int {
+		pi, pj := pts[i], pts[j]
+		switch {
+		case pi.X != pj.X:
+			return cmp.Compare(pi.X, pj.X)
+		case pi.Y != pj.Y:
+			return cmp.Compare(pi.Y, pj.Y)
+		default:
+			return i - j
 		}
-		if pi.Y != pj.Y {
-			return pi.Y < pj.Y
-		}
-		return order[a] < order[b]
 	})
-	idx := make([]int, 0, len(order))
+	// The filter writes at or before the position it reads, so it can
+	// compact order in place.
+	k := base
 	bestY := math.Inf(1)
 	for _, i := range order {
 		if pts[i].Y < bestY {
-			idx = append(idx, i)
+			dst[k] = i
+			k++
 			bestY = pts[i].Y
 		}
 	}
-	return idx
+	return dst[:k]
 }
 
 // IsDominated reports whether p is dominated by any point in set.
