@@ -2,6 +2,7 @@ package fl
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"bofl/internal/core"
@@ -88,8 +89,8 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if len(cfg.Data) == 0 {
 		return nil, fmt.Errorf("fl: client %q has no local data", cfg.ID)
 	}
-	if cfg.LearnRate <= 0 {
-		return nil, fmt.Errorf("fl: client %q learning rate %v", cfg.ID, cfg.LearnRate)
+	if !(cfg.LearnRate > 0) || math.IsInf(cfg.LearnRate, 1) {
+		return nil, fmt.Errorf("fl: client %q learning rate %v is not positive and finite", cfg.ID, cfg.LearnRate)
 	}
 	batches, err := ml.Batches(cfg.Data, cfg.BatchSize)
 	if err != nil {

@@ -160,6 +160,29 @@ func putBytes(p *[]byte) {
 	}
 }
 
+// vecPool holds the vectors round frames decode into. The pool hands each
+// vector to one decode, whose caller owns it; the round paths that are done
+// with one hand it back: the daemon once BeginRound has copied a request's
+// parameters, the server once Contribute has folded a response's. A pool, not
+// a buffer per peer, so no vector outlives the rounds that use it.
+var vecPool = sync.Pool{New: func() any { return new([]float64) }}
+
+// getVec returns a vector of length n from vecPool, its contents undefined.
+func getVec(n int) []float64 {
+	p := vecPool.Get().(*[]float64)
+	if cap(*p) < n {
+		return make([]float64, n)
+	}
+	return (*p)[:n]
+}
+
+// putVec hands v back to vecPool; the caller must not touch it afterwards.
+func putVec(v []float64) {
+	if cap(v)*8 <= maxPooledBytes {
+		vecPool.Put(&v)
+	}
+}
+
 // gzipLevel is the deflate level of every frame payload. BestSpeed beats the
 // default level on every payload the data plane ships: a sixth of the encode
 // time for a few percent of bytes (DESIGN §7), so it is not a knob.
@@ -409,8 +432,8 @@ func readPayload(r io.Reader, gz bool, payloadLen uint32, rawLen int, wire, infl
 }
 
 // readVec reads one vector section (count, payload length, payload) under
-// the given section flags, validating every declared length before any
-// allocation.
+// the given section flags into a vector from vecPool, validating every
+// declared length before any allocation.
 func readVec(r io.Reader, flags byte) ([]float64, error) {
 	var tail [8]byte
 	if _, err := io.ReadFull(r, tail[:]); err != nil {
@@ -433,7 +456,7 @@ func readVec(r io.Reader, flags byte) ([]float64, error) {
 		return nil, err
 	}
 
-	out := make([]float64, count)
+	out := getVec(int(count))
 	if elem == 4 {
 		for i := range out {
 			out[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(raw[i*4:])))

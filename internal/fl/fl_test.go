@@ -2,6 +2,7 @@ package fl
 
 import (
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -157,6 +158,15 @@ func TestNewClientValidation(t *testing.T) {
 	for i, cfg := range cases {
 		if _, err := NewClient(cfg); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
+		}
+	}
+	// A NaN or infinite rate would make every parameter non-finite on the
+	// first step, and the exact fold would carry that into the global model.
+	for _, lr := range []float64{-0.1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cfg := ClientConfig{ID: "a", Device: dev, Workload: device.ViT, Model: model, Data: data,
+			BatchSize: 4, LearnRate: lr, Controller: ctrl}
+		if _, err := NewClient(cfg); err == nil {
+			t.Errorf("learning rate %v accepted", lr)
 		}
 	}
 }
@@ -381,6 +391,39 @@ func TestHTTPTransportRoundTrip(t *testing.T) {
 	}
 	if !resp.Report.DeadlineMet {
 		t.Error("remote round missed deadline")
+	}
+}
+
+// TestHTTPRoundResponseOwnedByCaller checks that a caller of
+// HTTPParticipant.Round owns the Params it is given: they match the daemon's
+// replica after the round, and later rounds, whose decoded vectors come from
+// the codec's pool on both sides, leave them alone.
+func TestHTTPRoundResponseOwnedByCaller(t *testing.T) {
+	c := newTestClient(t, "owner", 23)
+	ts := httptest.NewServer(NewClientHandler(c))
+	defer ts.Close()
+	p, err := DialParticipant(ts.URL, 30*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	global := c.Params()
+	first, err := p.Round(RoundRequest{Round: 1, Params: global, Jobs: 5, Deadline: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := c.Params()
+	for r := 2; r <= 4; r++ {
+		if _, err := p.Round(RoundRequest{Round: r, Params: global, Jobs: 5, Deadline: 60}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(first.Params) != len(kept) {
+		t.Fatalf("response has %d params, replica %d", len(first.Params), len(kept))
+	}
+	for i, v := range kept {
+		if math.Float64bits(first.Params[i]) != math.Float64bits(v) {
+			t.Fatalf("param %d = %v after later rounds, the round-1 replica held %v", i, first.Params[i], v)
+		}
 	}
 }
 

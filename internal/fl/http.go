@@ -181,8 +181,15 @@ func (h *ClientHandler) handleRound(w http.ResponseWriter, r *http.Request) {
 		req.Trace = req.Trace.Sanitized()
 	}
 
-	p := &LocalParticipant{Client: h.client}
-	resp, err := p.Round(req)
+	// BeginRound copies the request's parameters into the replica, so their
+	// vector goes back to the pool at once; the response's Params alias the
+	// replica, which is encoded below without a copy.
+	err = h.client.BeginRound(req)
+	putVec(req.Params)
+	var resp RoundResponse
+	if err == nil {
+		resp, err = h.client.runRound(req)
+	}
 	if err != nil {
 		h.sink.Count(obs.MetricFLHTTPErrors, 1, obs.L("endpoint", "round"), obs.L("kind", "round"))
 		http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -239,6 +246,10 @@ type HTTPParticipant struct {
 	attemptTx atomic.Int64
 	attemptRx atomic.Int64
 }
+
+// releaseParams hands a folded response's parameter vector back to the
+// codec's pool, implementing the server's paramsReleaser hook.
+func (p *HTTPParticipant) releaseParams(params []float64) { putVec(params) }
 
 // lastWire reports the bytes moved by the most recent Round call,
 // implementing the wireAccounter extension the round ledger reads.

@@ -85,17 +85,30 @@ func (p *LocalParticipant) ID() string { return p.Client.ID() }
 func (p *LocalParticipant) TMinFor(jobs int) (float64, error) { return p.Client.TMin(jobs) }
 
 // Round installs the global parameters, trains, runs the configuration
-// window, and returns the updated parameters. When the request carries a
-// valid trace context the client's round and config-window phases are
-// reported back as span summaries (timed on this process's monotonic clock)
-// so the server can stitch them under the attempt span.
+// window, and returns a copy of the updated parameters.
 func (p *LocalParticipant) Round(req RoundRequest) (RoundResponse, error) {
 	if err := p.Client.BeginRound(req); err != nil {
 		return RoundResponse{}, err
 	}
+	resp, err := p.Client.runRound(req)
+	if err != nil {
+		return RoundResponse{}, err
+	}
+	resp.Params = p.Client.Params()
+	return resp, nil
+}
+
+// runRound trains a round BeginRound has installed, runs the configuration
+// window and attaches the protocol return. The response's Params alias the
+// replica's parameters, so they hold only until the next round begins. When
+// the request carries a valid trace context the client's round and
+// config-window phases are reported back as span summaries (timed on this
+// process's monotonic clock) so the server can stitch them under the attempt
+// span.
+func (c *Client) runRound(req RoundRequest) (RoundResponse, error) {
 	var spans []obs.SpanSummary
 	t0 := time.Now()
-	rep, err := p.Client.TrainRoundCtx(req.Round, req.Jobs, req.Deadline, req.Trace)
+	rep, err := c.TrainRoundCtx(req.Round, req.Jobs, req.Deadline, req.Trace)
 	if err != nil {
 		return RoundResponse{}, err
 	}
@@ -105,7 +118,7 @@ func (p *LocalParticipant) Round(req RoundRequest) (RoundResponse, error) {
 		})
 	}
 	t1 := time.Now()
-	if _, err := p.Client.ConfigWindowCtx(req.Trace); err != nil {
+	if _, err := c.ConfigWindowCtx(req.Trace); err != nil {
 		return RoundResponse{}, err
 	}
 	if req.Trace.Valid() {
@@ -114,13 +127,13 @@ func (p *LocalParticipant) Round(req RoundRequest) (RoundResponse, error) {
 		})
 	}
 	resp := RoundResponse{
-		ClientID:    p.Client.ID(),
-		Params:      p.Client.Params(),
-		NumExamples: p.Client.NumExamples(),
+		ClientID:    c.ID(),
+		Params:      c.model.Params(),
+		NumExamples: c.NumExamples(),
 		Report:      rep,
 		Spans:       spans,
 	}
-	p.Client.FinishRound(&resp)
+	c.FinishRound(&resp)
 	return resp, nil
 }
 
@@ -827,9 +840,20 @@ func (s *Server) serve(part *foldPart, p Participant, proto RoundRequest, sl *ro
 		}
 		endFold()
 	}
+	if pr, ok := p.(paramsReleaser); ok {
+		pr.releaseParams(resp.Params)
+	}
 	resp.Params, resp.Aux = nil, nil // the update now lives in the fold
 	sl.resp = resp
 	return w
+}
+
+// paramsReleaser is a participant whose responses carry parameter vectors
+// the server may hand back once it has folded them. Only HTTPParticipant
+// implements it: its decoded vectors come from the codec's pool, while an
+// external caller of Round keeps the Params it is given.
+type paramsReleaser interface {
+	releaseParams(params []float64)
 }
 
 // journalAttempts appends one ledger event per attempt the participant's

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 
 	"bofl/internal/obs"
@@ -73,8 +74,8 @@ func SGD(m Model, grads []float64, lr float64) error {
 	if len(grads) != len(p) {
 		return fmt.Errorf("ml: gradient length %d != param length %d", len(grads), len(p))
 	}
-	if lr <= 0 {
-		return fmt.Errorf("ml: non-positive learning rate %v", lr)
+	if err := checkRate(lr); err != nil {
+		return err
 	}
 	for i := range p {
 		p[i] -= lr * grads[i]
@@ -82,19 +83,83 @@ func SGD(m Model, grads []float64, lr float64) error {
 	return nil
 }
 
-// TrainStep runs one minibatch SGD step and returns the batch loss.
-func TrainStep(m Model, batch []Example, lr float64) (float64, error) {
-	grads, loss, err := m.Gradients(batch)
-	if err != nil {
-		return 0, err
+// checkRate rejects a learning rate that is not a positive finite number. A
+// NaN or infinite rate would turn every parameter non-finite on the first
+// step.
+func checkRate(lr float64) error {
+	if !(lr > 0) || math.IsInf(lr, 1) {
+		return fmt.Errorf("ml: learning rate %v is not positive and finite", lr)
 	}
-	if err := SGD(m, grads, lr); err != nil {
+	return nil
+}
+
+// accumulator is a model whose gradient kernel sums into memory the caller
+// provides, which lets TrainStep take a step without allocating.
+type accumulator interface {
+	Model
+	// accumulate validates the batch, adds its summed gradient into grads
+	// (zero on entry, one element per parameter) and returns its summed loss.
+	accumulate(batch []Example, grads []float64) (float64, error)
+}
+
+// gradPool holds the gradient scratch of TrainStep's accumulating path. It
+// is kept apart from the kernels' activation pools so that each pool holds
+// slabs of one size.
+var gradPool = sync.Pool{New: func() any { return new([]float64) }}
+
+// getSlab takes a float64 slab from pool and returns it zeroed at length n.
+func getSlab(pool *sync.Pool, n int) *[]float64 {
+	p := pool.Get().(*[]float64)
+	if cap(*p) < n {
+		*p = make([]float64, n)
+	} else {
+		*p = (*p)[:n]
+		clear(*p)
+	}
+	return p
+}
+
+// TrainStep runs one minibatch SGD step and returns the batch loss. A model
+// with an accumulating kernel (the MLP) sums its gradient into pooled scratch
+// and is stepped straight from it, p ← p − lr·(g/n), the same operations as
+// Gradients followed by SGD; any other model takes that pair.
+func TrainStep(m Model, batch []Example, lr float64) (float64, error) {
+	var loss float64
+	var err error
+	if a, ok := m.(accumulator); ok {
+		loss, err = accumulateStep(a, batch, lr)
+	} else {
+		var grads []float64
+		if grads, loss, err = m.Gradients(batch); err == nil {
+			err = SGD(m, grads, lr)
+		}
+	}
+	if err != nil {
 		return 0, err
 	}
 	s := pkgSink.Load().(sinkBox).s
 	s.Count(MetricTrainSteps, 1)
 	s.SetGauge(MetricTrainLoss, loss)
 	return loss, nil
+}
+
+// accumulateStep is TrainStep's allocation-free path.
+func accumulateStep(a accumulator, batch []Example, lr float64) (float64, error) {
+	if err := checkRate(lr); err != nil {
+		return 0, err
+	}
+	p := a.Params()
+	gp := getSlab(&gradPool, len(p))
+	defer gradPool.Put(gp)
+	total, err := a.accumulate(batch, *gp)
+	if err != nil {
+		return 0, err
+	}
+	inv := 1 / float64(len(batch))
+	for i, g := range *gp {
+		p[i] -= lr * (g * inv)
+	}
+	return total * inv, nil
 }
 
 // Accuracy evaluates m on the examples.

@@ -128,8 +128,10 @@ func TestSGDValidation(t *testing.T) {
 	if err := SGD(m, make([]float64, 3), 0.1); err == nil {
 		t.Error("mismatched gradient length accepted")
 	}
-	if err := SGD(m, make([]float64, m.NumParams()), 0); err == nil {
-		t.Error("zero learning rate accepted")
+	for _, lr := range []float64{0, -0.1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := SGD(m, make([]float64, m.NumParams()), lr); err == nil {
+			t.Errorf("learning rate %v accepted", lr)
+		}
 	}
 }
 
