@@ -216,11 +216,7 @@ func run(args []string) error {
 				ss.SetSink(tel)
 			}
 			srv.Register(p)
-			if cp, ok := p.(interface{ Codec() string }); ok {
-				fmt.Printf("registered %s via check-in (codec %s)\n", p.ID(), cp.Codec())
-			} else {
-				fmt.Printf("registered %s via check-in\n", p.ID())
-			}
+			fmt.Printf("registered %s via check-in\n", p.ID())
 		}
 	case *clients != "":
 		for _, url := range strings.Split(*clients, ",") {
@@ -234,7 +230,7 @@ func run(args []string) error {
 			}
 			p.SetSink(tel)
 			srv.Register(p)
-			fmt.Printf("registered %s at %s (codec %s)\n", p.ID(), url, p.Codec())
+			fmt.Printf("registered %s at %s\n", p.ID(), url)
 		}
 	default:
 		return fmt.Errorf("need -clients or -checkin")

@@ -2,9 +2,9 @@ package bofl_test
 
 // BenchmarkFLScale measures the FL serving plane at fleet scale: a
 // thousand-participant in-process round through the bounded dispatch +
-// streaming-fold path, an HTTP loopback federation over the negotiated binary
-// codec, and the codec's wire savings against the JSON fallback (the
-// `wire_x` metric is the acceptance bar: ≥ 4× on a CNN-sized vector).
+// streaming-fold path, an HTTP loopback federation over the BFL1 frame codec,
+// and the frame's wire savings against a JSON encoding of the same request
+// (the `wire_x` metric is the acceptance bar: ≥ 4× on a CNN-sized vector).
 
 import (
 	"bytes"
@@ -137,8 +137,8 @@ func BenchmarkFLScale(b *testing.B) {
 	})
 
 	b.Run("http-loopback", func(b *testing.B) {
-		// A few dozen daemons behind real HTTP servers, speaking the
-		// negotiated binary codec end to end. The daemon side is the cheap
+		// A few dozen daemons behind real HTTP servers, speaking BFL1
+		// frames end to end. The daemon side is the cheap
 		// codec-only handler below, so the measurement is transport + codec,
 		// not model training.
 		const clients, dim = 32, 16_384
@@ -151,9 +151,6 @@ func BenchmarkFLScale(b *testing.B) {
 			p, err := fl.DialParticipant(ts.URL, 30*time.Second)
 			if err != nil {
 				b.Fatal(err)
-			}
-			if p.Codec() != fl.CodecBinary {
-				b.Fatalf("negotiated %s", p.Codec())
 			}
 			srv.Register(p)
 		}
@@ -198,8 +195,8 @@ func BenchmarkFLScale(b *testing.B) {
 	})
 }
 
-// codecEchoHandler is a minimal binary-capable daemon: /v1/info advertises
-// the codec, /v1/round echoes the parameters back through the frame codec.
+// codecEchoHandler is a minimal daemon: /v1/info names it, /v1/round echoes
+// the parameters back through the frame codec.
 func codecEchoHandler(id string) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/info", func(w http.ResponseWriter, r *http.Request) {
@@ -209,7 +206,6 @@ func codecEchoHandler(id string) http.Handler {
 			Device:      "bench",
 			TMinPerJob:  0.001,
 			NumExamples: 64,
-			Codecs:      []string{fl.CodecBinary, fl.CodecJSON},
 		})
 	})
 	mux.HandleFunc("POST /v1/round", func(w http.ResponseWriter, r *http.Request) {

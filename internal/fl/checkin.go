@@ -108,7 +108,7 @@ func (r *Registry) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/checkin", func(w http.ResponseWriter, req *http.Request) {
 		var body CheckinRequest
-		if err := json.NewDecoder(io.LimitReader(req.Body, 1<<20)).Decode(&body); err != nil {
+		if err := json.NewDecoder(io.LimitReader(req.Body, maxControlBody)).Decode(&body); err != nil {
 			http.Error(w, fmt.Sprintf("decode check-in: %v", err), http.StatusBadRequest)
 			return
 		}
@@ -151,7 +151,7 @@ func CheckInContext(ctx context.Context, serverURL string, req CheckinRequest, t
 		return fmt.Errorf("fl: check-in with %s: %s: %s", serverURL, resp.Status, msg)
 	}
 	var ack CheckinResponse
-	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxControlBody)).Decode(&ack); err != nil {
 		return fmt.Errorf("fl: decode check-in ack: %w", err)
 	}
 	if !ack.Accepted {

@@ -1,10 +1,14 @@
 package fl
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net"
+	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -126,6 +130,64 @@ func TestCheckinContextCancelsAgainstHungServer(t *testing.T) {
 	err = reg.CheckInContext(ctx2, CheckinRequest{ClientID: "c", BaseURL: "http://" + ln.Addr().String()})
 	if err == nil || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("dial-back err %v, want context.DeadlineExceeded", err)
+	}
+}
+
+// serveOversizedJSON answers with a JSON object padded past maxControlBody
+// by pad bytes inside one string field. The padding streams from one small
+// buffer, so the serving side allocates next to nothing.
+func serveOversizedJSON(w http.ResponseWriter, head string, pad int, tail string) {
+	w.Header().Set("Content-Type", ContentTypeJSON)
+	chunk := bytes.Repeat([]byte{'a'}, 32<<10)
+	if _, err := io.WriteString(w, head); err != nil {
+		return
+	}
+	for n := 0; n < pad; n += len(chunk) {
+		if _, err := w.Write(chunk); err != nil {
+			return // the reader hung up at its cap
+		}
+	}
+	io.WriteString(w, tail)
+}
+
+// TestCheckinDialBackCapsInfoBody: a check-in names the URL the registry
+// dials back, so a hostile peer can point it at an endpoint serving a huge
+// /v1/info. The dial-back must fail at the control-plane cap, with its
+// allocation bounded by the cap rather than by the body.
+func TestCheckinDialBackCapsInfoBody(t *testing.T) {
+	const pad = 16 * maxControlBody
+	info := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		serveOversizedJSON(w, `{"clientId":"big","tminPerJobSeconds":0.1,"numExamples":10,"device":"`, pad, `"}`)
+	}))
+	defer info.Close()
+
+	reg := NewRegistry(30 * time.Second)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := reg.CheckIn(CheckinRequest{ClientID: "big", BaseURL: info.URL})
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("dial-back against a %d-byte /v1/info: err %v, want a truncated read", pad, err)
+	}
+	if reg.Len() != 0 {
+		t.Error("oversized /v1/info registered anyway")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 16<<20 {
+		t.Errorf("dial-back allocated %d bytes, want < 16 MB", alloc)
+	}
+}
+
+// TestCheckinContextCapsAck: the client-side check-in rejects an ack body
+// over the control-plane cap instead of decoding it.
+func TestCheckinContextCapsAck(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		serveOversizedJSON(w, `{"accepted":true,"message":"`, 2*maxControlBody, `"}`)
+	}))
+	defer srv.Close()
+
+	err := CheckInContext(context.Background(), srv.URL, CheckinRequest{ClientID: "c", BaseURL: "http://x"}, 30*time.Second)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("ack over the cap: err %v, want a truncated read", err)
 	}
 }
 

@@ -37,10 +37,8 @@ package fl
 //     copy. The level is the encoder's choice alone: frames deflated at any
 //     level, such as the default level older peers send, decode unchanged.
 //
-// Frames are self-describing, so a binary-capable peer can decode any frame
-// a binary-capable encoder produces. Interop with JSON-only peers is handled
-// one level up (http.go) via Content-Type negotiation; the codec advertised
-// in InfoResponse.Codecs is CodecBinary.
+// Frames are self-describing, so any peer decodes any frame an encoder
+// produces. They are the only encoding of /v1/round bodies (http.go).
 
 import (
 	"bytes"
@@ -58,15 +56,15 @@ import (
 	"bofl/internal/obs"
 )
 
-// Codec and content-type identifiers used by the negotiation layer.
+// Codec and content-type identifiers of the HTTP transport.
 const (
-	// CodecBinary names the binary frame codec in InfoResponse.Codecs.
+	// CodecBinary names the binary frame codec; wire-byte counters carry it
+	// as their codec label.
 	CodecBinary = "bofl-frame-v1"
-	// CodecJSON names the JSON fallback codec.
-	CodecJSON = "json"
 	// ContentTypeBinary is the Content-Type of a binary frame body.
 	ContentTypeBinary = "application/x-bofl-frame"
-	// ContentTypeJSON is the Content-Type of the JSON fallback.
+	// ContentTypeJSON is the Content-Type of the JSON control plane:
+	// check-in and /v1/info.
 	ContentTypeJSON = "application/json"
 )
 
@@ -101,8 +99,8 @@ const (
 )
 
 // roundRequestMeta is RoundRequest minus the parameter vector. The trace
-// fields carry the server-minted round trace context in-band, so JSON-only
-// clients (and any transport that strips custom headers) still join the
+// fields carry the server-minted round trace context in-band, so a round
+// sent through a transport that strips custom headers still joins the
 // stitched round trace.
 type roundRequestMeta struct {
 	Round    int     `json:"round"`

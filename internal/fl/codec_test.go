@@ -670,38 +670,6 @@ func TestCodecAuxMalformed(t *testing.T) {
 	})
 }
 
-// TestCodecAuxJSONFallback: the JSON transport path must round-trip the new
-// protocol fields too — JSON-only peers still speak SCAFFOLD.
-func TestCodecAuxJSONFallback(t *testing.T) {
-	req := auxRequest([]float64{1.5}, []float64{0.25, -0.5})
-	b, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var gotReq RoundRequest
-	if err := json.Unmarshal(b, &gotReq); err != nil {
-		t.Fatal(err)
-	}
-	if gotReq.Alg != req.Alg || gotReq.Prox != req.Prox || !paramsEqual(gotReq.Aux, req.Aux) {
-		t.Errorf("request JSON roundtrip: %+v vs %+v", gotReq, req)
-	}
-
-	resp := sampleResponse([]float64{1})
-	resp.Steps = 9
-	resp.Aux = []float64{0.125}
-	b, err = json.Marshal(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var gotResp RoundResponse
-	if err := json.Unmarshal(b, &gotResp); err != nil {
-		t.Fatal(err)
-	}
-	if gotResp.Steps != resp.Steps || !paramsEqual(gotResp.Aux, resp.Aux) {
-		t.Errorf("response JSON roundtrip: %+v vs %+v", gotResp, resp)
-	}
-}
-
 // regzipFrame re-deflates every gzip section of an encoded BFL1 frame (round
 // or partial) at the given level and fixes up the section lengths: the frame
 // a peer compressing at that level sends for the same values.

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -19,35 +18,31 @@ import (
 // HTTP transport: a client daemon serves its training endpoint over HTTP and
 // the server drives it through an HTTPParticipant. Two endpoints:
 //
-//	GET  /v1/info           → InfoResponse
-//	POST /v1/round          → RoundRequest ⇒ RoundResponse
+//	GET  /v1/info           → InfoResponse (JSON)
+//	POST /v1/round          → RoundRequest ⇒ RoundResponse (BFL1 frames)
 //
-// The round body travels either as JSON (the original wire format, kept as
-// the universal fallback) or as the binary frame defined in codec.go.
-// Negotiation is one round trip and fully backwards compatible:
-//
-//   - The daemon advertises its codecs in InfoResponse.Codecs. An old daemon
-//     omits the field, so a new server falls back to JSON for it.
-//   - The server picks the best mutually supported codec and declares it in
-//     the request's Content-Type; it also sends Accept for the response.
-//   - The daemon decodes by Content-Type and answers in the same codec the
-//     caller asked for, so an old server posting JSON gets JSON back even
-//     from a binary-capable daemon.
+// Round bodies travel only as the binary frame defined in codec.go, so each
+// direction has one bounded, fuzzed decoder. A daemon answers a body of any
+// other Content-Type with 415 and a counted codec error; a participant decodes
+// every 200 answer as a frame, so anything else fails with ErrCorruptFrame
+// and takes the server's quarantine path.
 //
 // This mirrors the configuration/execution/reporting flow of Figure 1 with a
 // plain stdlib stack.
 
 // InfoResponse advertises a client's identity and pace capabilities.
 type InfoResponse struct {
-	ClientID       string  `json:"clientId"`
-	Device         string  `json:"device"`
-	TMinPerJob     float64 `json:"tminPerJobSeconds"`
-	NumExamples    int     `json:"numExamples"`
-	ParamsChecksum int     `json:"paramsChecksum"`
-	// Codecs lists the wire codecs this daemon understands, best first.
-	// Absent on pre-codec daemons, which speak JSON only.
-	Codecs []string `json:"codecs,omitempty"`
+	ClientID    string  `json:"clientId"`
+	Device      string  `json:"device"`
+	TMinPerJob  float64 `json:"tminPerJobSeconds"`
+	NumExamples int     `json:"numExamples"`
 }
+
+// maxControlBody caps every JSON body the control plane reads: a check-in
+// request, a check-in ack and a daemon's /v1/info. A check-in names the URL
+// the server dials back, so without the cap any peer that can check in could
+// make the server decode an unbounded body from a host of its choosing.
+const maxControlBody = 1 << 20
 
 // flTransport is the process-wide HTTP transport shared by every
 // HTTPParticipant and check-in call: connections to client daemons are kept
@@ -82,7 +77,6 @@ type ClientHandler struct {
 	client       *Client
 	mux          *http.ServeMux
 	sink         obs.Sink
-	jsonOnly     bool
 	noSpanReport bool
 }
 
@@ -95,12 +89,6 @@ func NewClientHandler(c *Client) *ClientHandler {
 	h.mux.HandleFunc("POST /v1/round", h.handleRound)
 	return h
 }
-
-// SetJSONOnly disables the binary codec: the daemon stops advertising it,
-// rejects binary frames and always answers JSON — byte-for-byte the pre-codec
-// wire behaviour. Used as an operational escape hatch (flclient -json-only)
-// and by the cross-compatibility tests to stand in for an old daemon.
-func (h *ClientHandler) SetJSONOnly(on bool) { h.jsonOnly = on }
 
 // SetNoSpanReport opts the daemon out of distributed tracing: incoming trace
 // contexts are dropped at ingress, so local spans carry no trace labels and
@@ -132,45 +120,32 @@ func (h *ClientHandler) handleInfo(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	info := InfoResponse{
+	writeJSON(w, InfoResponse{
 		ClientID:    h.client.ID(),
 		Device:      h.client.dev.Name(),
 		TMinPerJob:  perJob,
 		NumExamples: h.client.NumExamples(),
-	}
-	if !h.jsonOnly {
-		info.Codecs = []string{CodecBinary, CodecJSON}
-	}
-	writeJSON(w, info)
+	})
 }
 
 func (h *ClientHandler) handleRound(w http.ResponseWriter, r *http.Request) {
-	body := &countingReader{r: io.LimitReader(r.Body, 64<<20)}
-	binaryReq := strings.HasPrefix(r.Header.Get("Content-Type"), ContentTypeBinary)
-	codec := CodecJSON
-	var req RoundRequest
-	var err error
-	if binaryReq {
-		if h.jsonOnly {
-			h.sink.Count(obs.MetricFLHTTPErrors, 1, obs.L("endpoint", "round"), obs.L("kind", "codec"))
-			http.Error(w, "binary frames disabled on this daemon", http.StatusUnsupportedMediaType)
-			return
-		}
-		codec = CodecBinary
-		req, err = DecodeRoundRequest(body)
-	} else {
-		err = json.NewDecoder(body).Decode(&req)
+	if !strings.HasPrefix(r.Header.Get("Content-Type"), ContentTypeBinary) {
+		h.sink.Count(obs.MetricFLHTTPErrors, 1, obs.L("endpoint", "round"), obs.L("kind", "codec"))
+		http.Error(w, "round bodies must be "+ContentTypeBinary, http.StatusUnsupportedMediaType)
+		return
 	}
+	body := &countingReader{r: io.LimitReader(r.Body, 64<<20)}
+	req, err := DecodeRoundRequest(body)
 	if err != nil {
 		h.sink.Count(obs.MetricFLHTTPErrors, 1, obs.L("endpoint", "round"), obs.L("kind", "decode"))
 		http.Error(w, fmt.Sprintf("decode round request: %v", err), http.StatusBadRequest)
 		return
 	}
-	h.sink.Count(obs.MetricFLWireRx, float64(body.n), obs.L("codec", codec))
+	h.sink.Count(obs.MetricFLWireRx, float64(body.n), obs.L("codec", CodecBinary))
 
 	// Trace-context ingress: the X-Bofl-Trace header wins (it survives even
-	// proxies that re-encode the body); the codec meta fields are the in-band
-	// fallback. Either way the value is sanitized here — a hostile or
+	// proxies that re-encode the body); the frame's meta fields are the
+	// in-band fallback. Either way the value is sanitized here — a hostile or
 	// oversized wire value degrades to "untraced", never into the span labels
 	// or the exposition.
 	if h.noSpanReport {
@@ -196,30 +171,18 @@ func (h *ClientHandler) handleRound(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Answer in the codec the caller used (or explicitly accepts): a JSON
-	// caller must get JSON back even from a binary-capable daemon.
-	respBinary := !h.jsonOnly &&
-		(binaryReq || strings.Contains(r.Header.Get("Accept"), ContentTypeBinary))
 	buf := getBuf()
 	defer putBuf(buf)
-	respCodec := CodecJSON
-	if respBinary {
-		respCodec = CodecBinary
-		err = EncodeRoundResponse(buf, resp)
-		w.Header().Set("Content-Type", ContentTypeBinary)
-	} else {
-		err = json.NewEncoder(buf).Encode(resp)
-		w.Header().Set("Content-Type", ContentTypeJSON)
-	}
-	if err != nil {
+	if err := EncodeRoundResponse(buf, resp); err != nil {
 		h.sink.Count(obs.MetricFLHTTPErrors, 1, obs.L("endpoint", "round"), obs.L("kind", "encode"))
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
+	w.Header().Set("Content-Type", ContentTypeBinary)
 	if _, err := w.Write(buf.Bytes()); err != nil {
 		return // headers already sent; nothing more we can do
 	}
-	h.sink.Count(obs.MetricFLWireTx, float64(buf.Len()), obs.L("codec", respCodec))
+	h.sink.Count(obs.MetricFLWireTx, float64(buf.Len()), obs.L("codec", CodecBinary))
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -237,7 +200,6 @@ type HTTPParticipant struct {
 	perJob  float64
 	client  *http.Client
 	sink    obs.Sink
-	binary  bool
 
 	// attemptTx/attemptRx record the serialized bytes the most recent Round
 	// call moved, for per-attempt ledger attribution. The server calls one
@@ -258,13 +220,8 @@ func (p *HTTPParticipant) lastWire() (tx, rx int64) {
 }
 
 // SetSink installs a telemetry sink counting transport, status and decode
-// failures against the remote daemon, plus wire bytes per codec.
+// failures against the remote daemon, plus wire bytes.
 func (p *HTTPParticipant) SetSink(s obs.Sink) { p.sink = obs.OrNop(s) }
-
-// SetBinary overrides codec negotiation (true forces binary frames, false
-// forces JSON). Normally the choice is made from the daemon's advertised
-// codecs at dial time.
-func (p *HTTPParticipant) SetBinary(on bool) { p.binary = on }
 
 // SetTransport replaces the participant's HTTP round-tripper — the hook the
 // chaos harness uses to wrap the shared keep-alive transport in a
@@ -273,13 +230,8 @@ func (p *HTTPParticipant) SetTransport(rt http.RoundTripper) {
 	p.client = &http.Client{Timeout: p.client.Timeout, Transport: rt}
 }
 
-// Codec reports the negotiated round codec.
-func (p *HTTPParticipant) Codec() string {
-	if p.binary {
-		return CodecBinary
-	}
-	return CodecJSON
-}
+// Codec reports the round codec, which is always CodecBinary.
+func (p *HTTPParticipant) Codec() string { return CodecBinary }
 
 // countErr increments the HTTP error counter for the round endpoint.
 func (p *HTTPParticipant) countErr(kind string) {
@@ -288,8 +240,7 @@ func (p *HTTPParticipant) countErr(kind string) {
 
 var _ Participant = (*HTTPParticipant)(nil)
 
-// DialParticipant contacts a client daemon, caches its identity and
-// negotiates the round codec from the daemon's advertised list. All
+// DialParticipant contacts a client daemon and caches its identity. All
 // participants share one keep-alive transport, so per-round requests reuse
 // established connections.
 func DialParticipant(baseURL string, timeout time.Duration) (*HTTPParticipant, error) {
@@ -319,7 +270,7 @@ func dialParticipant(ctx context.Context, baseURL string, timeout time.Duration)
 		return nil, fmt.Errorf("fl: dial %s: status %s", baseURL, resp.Status)
 	}
 	var info InfoResponse
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxControlBody)).Decode(&info); err != nil {
 		return nil, fmt.Errorf("fl: dial %s: %w", baseURL, err)
 	}
 	if info.ClientID == "" || info.TMinPerJob <= 0 {
@@ -331,7 +282,6 @@ func dialParticipant(ctx context.Context, baseURL string, timeout time.Duration)
 		perJob:  info.TMinPerJob,
 		client:  hc,
 		sink:    obs.Nop,
-		binary:  slices.Contains(info.Codecs, CodecBinary),
 	}, nil
 }
 
@@ -346,21 +296,14 @@ func (p *HTTPParticipant) TMinFor(jobs int) (float64, error) {
 	return p.perJob * float64(jobs), nil
 }
 
-// Round posts the round request to the daemon in the negotiated codec.
+// Round posts the round request to the daemon as a BFL1 frame and decodes
+// the answer as one.
 func (p *HTTPParticipant) Round(req RoundRequest) (RoundResponse, error) {
 	p.attemptTx.Store(0)
 	p.attemptRx.Store(0)
 	buf := getBuf()
 	defer putBuf(buf)
-	codec, contentType := CodecJSON, ContentTypeJSON
-	var err error
-	if p.binary {
-		codec, contentType = CodecBinary, ContentTypeBinary
-		err = EncodeRoundRequest(buf, req)
-	} else {
-		err = json.NewEncoder(buf).Encode(req)
-	}
-	if err != nil {
+	if err := EncodeRoundRequest(buf, req); err != nil {
 		return RoundResponse{}, fmt.Errorf("fl: encode round: %w", err)
 	}
 
@@ -368,8 +311,7 @@ func (p *HTTPParticipant) Round(req RoundRequest) (RoundResponse, error) {
 	if err != nil {
 		return RoundResponse{}, fmt.Errorf("fl: round on %s: %w", p.id, err)
 	}
-	hreq.Header.Set("Content-Type", contentType)
-	hreq.Header.Set("Accept", contentType)
+	hreq.Header.Set("Content-Type", ContentTypeBinary)
 	if req.Trace.Valid() {
 		hreq.Header.Set(obs.TraceHeader, req.Trace.String())
 	}
@@ -384,23 +326,16 @@ func (p *HTTPParticipant) Round(req RoundRequest) (RoundResponse, error) {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return RoundResponse{}, fmt.Errorf("fl: round on %s: %s: %s", p.id, resp.Status, bytes.TrimSpace(msg))
 	}
-	p.sink.Count(obs.MetricFLWireTx, float64(buf.Len()), obs.L("codec", codec))
+	p.sink.Count(obs.MetricFLWireTx, float64(buf.Len()), obs.L("codec", CodecBinary))
 	p.attemptTx.Store(int64(buf.Len()))
 
 	body := &countingReader{r: io.LimitReader(resp.Body, 64<<20)}
-	respCodec := CodecJSON
-	var out RoundResponse
-	if strings.HasPrefix(resp.Header.Get("Content-Type"), ContentTypeBinary) {
-		respCodec = CodecBinary
-		out, err = DecodeRoundResponse(body)
-	} else {
-		err = json.NewDecoder(body).Decode(&out)
-	}
+	out, err := DecodeRoundResponse(body)
 	if err != nil {
 		p.countErr("decode")
 		return RoundResponse{}, fmt.Errorf("fl: decode round response: %w", err)
 	}
-	p.sink.Count(obs.MetricFLWireRx, float64(body.n), obs.L("codec", respCodec))
+	p.sink.Count(obs.MetricFLWireRx, float64(body.n), obs.L("codec", CodecBinary))
 	p.attemptRx.Store(body.n)
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -15,16 +16,16 @@ func errCount(t *obs.Telemetry, endpoint, kind string) float64 {
 		obs.L("endpoint", endpoint), obs.L("kind", kind)).Value()
 }
 
-// TestHandlerMalformedJSON sends garbage to /v1/round and checks for a 400
-// plus a decode error count.
-func TestHandlerMalformedJSON(t *testing.T) {
+// TestHandlerMalformedFrame sends garbage to /v1/round under the frame
+// content type and checks for a 400 plus a decode error count.
+func TestHandlerMalformedFrame(t *testing.T) {
 	tel := obs.New(nil)
 	h := NewClientHandler(newTestClient(t, "c0", 1))
 	h.SetTelemetry(tel)
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
-	resp, err := http.Post(ts.URL+"/v1/round", "application/json", strings.NewReader("{not json"))
+	resp, err := http.Post(ts.URL+"/v1/round", ContentTypeBinary, strings.NewReader("{not a frame"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,6 +102,59 @@ func TestParticipantNon2xx(t *testing.T) {
 	}
 	if got := errCount(tel, "round", "status"); got != 1 {
 		t.Errorf("status error count = %v, want 1", got)
+	}
+}
+
+// TestParticipantNonFrameAnswer drives an HTTPParticipant against a daemon
+// that answers 200 with a JSON report: the participant decodes it as a frame,
+// fails with ErrCorruptFrame and counts a decode error, and a tolerant round
+// quarantines the daemon.
+func TestParticipantNonFrameAnswer(t *testing.T) {
+	tel := obs.New(nil)
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/info", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, InfoResponse{ClientID: "json-stub", TMinPerJob: 0.1, NumExamples: 10})
+	})
+	mux.HandleFunc("POST /v1/round", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, RoundResponse{ClientID: "json-stub", Params: make([]float64, 4), NumExamples: 10})
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	p, err := DialParticipant(ts.URL, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.SetSink(tel)
+	if _, err := p.Round(RoundRequest{Round: 1, Jobs: 1, Deadline: 10}); !errors.Is(err, ErrCorruptFrame) {
+		t.Fatalf("JSON answer: err = %v, want ErrCorruptFrame", err)
+	}
+	if got := errCount(tel, "round", "decode"); got != 1 {
+		t.Errorf("decode error count = %v, want 1", got)
+	}
+
+	healthy := newTestClient(t, "ok", 2)
+	srv, err := NewServer(ServerConfig{
+		InitialParams:    healthy.Params(),
+		Jobs:             4,
+		DeadlineRatio:    3,
+		Seed:             1,
+		TolerateDropouts: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Register(&LocalParticipant{Client: healthy})
+	srv.Register(p)
+	res, err := srv.RunRound()
+	if err != nil {
+		t.Fatalf("round failed instead of degrading: %v", err)
+	}
+	if len(res.Quarantined) != 1 || res.Quarantined[0] != "json-stub" {
+		t.Errorf("quarantined = %v, want [json-stub]", res.Quarantined)
+	}
+	if len(res.Responses) != 1 || res.Responses[0].ClientID != "ok" {
+		t.Errorf("responses = %+v, want the healthy client only", res.Responses)
 	}
 }
 
