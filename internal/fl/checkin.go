@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -103,13 +104,19 @@ func (r *Registry) Len() int {
 	return len(r.participant)
 }
 
-// Handler serves POST /v1/checkin for the registry.
+// Handler serves POST /v1/checkin for the registry. A body over the
+// control-plane cap gets 413 and a malformed one 400, neither dialed back.
 func (r *Registry) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/checkin", func(w http.ResponseWriter, req *http.Request) {
 		var body CheckinRequest
-		if err := json.NewDecoder(io.LimitReader(req.Body, maxControlBody)).Decode(&body); err != nil {
-			http.Error(w, fmt.Sprintf("decode check-in: %v", err), http.StatusBadRequest)
+		if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxControlBody)).Decode(&body); err != nil {
+			status := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			http.Error(w, fmt.Sprintf("decode check-in: %v", err), status)
 			return
 		}
 		if err := r.CheckInContext(req.Context(), body); err != nil {

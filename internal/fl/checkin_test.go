@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -235,5 +236,36 @@ func TestRegistryFeedsServer(t *testing.T) {
 	}
 	if len(res.Responses) != 3 {
 		t.Errorf("round reached %d of 3 registered clients", len(res.Responses))
+	}
+}
+
+// TestCheckinHandlerStatus: a check-in body over the control-plane cap gets
+// 413 and malformed JSON under the cap gets 400, and neither is dialed back;
+// a well-formed check-in is dialed back once.
+func TestCheckinHandlerStatus(t *testing.T) {
+	reg := NewRegistry(time.Second)
+	var dialed []string
+	reg.dial = func(ctx context.Context, baseURL string, timeout time.Duration) (Participant, error) {
+		dialed = append(dialed, baseURL)
+		return &reportingParticipant{id: "edge-1"}, nil
+	}
+	h := reg.Handler()
+	oversized := `{"clientId":"edge-1","baseUrl":"http://big/` + strings.Repeat("a", 2*maxControlBody) + `"}`
+	for _, c := range []struct {
+		name, body string
+		want       int
+	}{
+		{"2 MiB body", oversized, http.StatusRequestEntityTooLarge},
+		{"malformed JSON", `{"clientId":"edge-1","baseUrl":`, http.StatusBadRequest},
+		{"check-in", `{"clientId":"edge-1","baseUrl":"http://ok"}`, http.StatusOK},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/checkin", strings.NewReader(c.body)))
+		if rec.Code != c.want {
+			t.Errorf("%s: status %d (%s), want %d", c.name, rec.Code, strings.TrimSpace(rec.Body.String()), c.want)
+		}
+	}
+	if want := []string{"http://ok"}; !slices.Equal(dialed, want) {
+		t.Errorf("dialed back %v, want %v", dialed, want)
 	}
 }

@@ -153,7 +153,7 @@ func DecodePartialAggregate(r io.Reader) (PartialAggregate, error) {
 func DecodePartialAggregateInto(r io.Reader, pa *PartialAggregate) error {
 	limbs := pa.Sum.Limbs[:0]
 	prevTrace := pa.Trace // reuse hint: same-round frames repeat their ids
-	*pa = PartialAggregate{}
+	*pa = PartialAggregate{Sum: exact.Serialized{Limbs: limbs}}
 	// Pooled header/trailer scratch: stack arrays would escape through the
 	// io.Reader interface and cost two heap allocations per frame.
 	hp := getBytes(17)

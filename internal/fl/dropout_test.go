@@ -2,9 +2,13 @@ package fl
 
 import (
 	"errors"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"bofl/internal/core"
+	"bofl/internal/obs/ledger"
 )
 
 // flakyParticipant fails (or misses deadlines) on a schedule.
@@ -107,5 +111,44 @@ func TestStrictModeKeepsDeadlineMissers(t *testing.T) {
 	}
 	if len(res.Responses) != 1 {
 		t.Errorf("responses = %d", len(res.Responses))
+	}
+}
+
+// TestStrictModeQuarantinesEveryCorruptFrame: a strict round aborts on its
+// first failed participant, but a corrupt frame from a participant listed
+// after that failure is still quarantined, as a tolerant round would, and
+// the ledger journals the quarantine before the abort.
+func TestStrictModeQuarantinesEveryCorruptFrame(t *testing.T) {
+	led := ledger.New(0)
+	srv, err := NewServer(ServerConfig{
+		InitialParams: []float64{1, 2, 3},
+		Jobs:          10,
+		DeadlineRatio: 2,
+		Seed:          1,
+		Ledger:        led,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Register(&stubParticipant{id: "a", err: errors.New("device dropped out")})
+	srv.Register(&stubParticipant{id: "b", err: fmt.Errorf("%w: bad checksum", ErrCorruptFrame)})
+	srv.Register(&stubParticipant{id: "c"})
+	srv.Register(&stubParticipant{id: "d", err: fmt.Errorf("%w: truncated", ErrCorruptFrame)})
+	if _, err := srv.RunRound(); err == nil || !strings.Contains(err.Error(), "participant a") {
+		t.Fatalf("strict round: err %v, want the abort for participant a", err)
+	}
+	quarantined := srv.QuarantinedIDs()
+	slices.Sort(quarantined)
+	if !slices.Equal(quarantined, []string{"b", "d"}) {
+		t.Errorf("quarantined %v, want [b d]", quarantined)
+	}
+	var got []string
+	for _, ev := range led.Events() {
+		if ev.Kind == ledger.KindQuarantine || ev.Kind == ledger.KindAbort {
+			got = append(got, ev.Kind+":"+ev.Client)
+		}
+	}
+	if want := []string{"quarantine:b", "quarantine:d", "abort:"}; !slices.Equal(got, want) {
+		t.Errorf("ledger journaled %v, want %v", got, want)
 	}
 }

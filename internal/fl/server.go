@@ -603,12 +603,7 @@ func (s *Server) RunRound() (RoundResult, error) {
 				switch {
 				case errors.Is(slots[i].err, ErrCorruptFrame):
 					result.Quarantined = append(result.Quarantined, id)
-					s.Quarantine(id)
-					s.sink.Event(obs.EventFLQuarantine,
-						tc.SpanLabels(obs.L("client", id))...)
-					s.ledgerAppend(ledger.Event{
-						Kind: ledger.KindQuarantine, TraceID: tc.TraceID, Client: id,
-					})
+					s.quarantineCorrupt(tc, id)
 				case errors.Is(slots[i].err, errStraggler):
 					result.Stragglers = append(result.Stragglers, id)
 					s.sink.Count(obs.MetricFLStragglerStrips, 1)
@@ -647,19 +642,22 @@ func (s *Server) RunRound() (RoundResult, error) {
 			})
 		}
 	} else {
+		// Strict: the first failure aborts the round, but only after every
+		// corrupt frame is quarantined, so a participant listed after an
+		// earlier failure cannot escape quarantine.
+		var failed error
 		for i := range slots {
-			if slots[i].err != nil {
-				if errors.Is(slots[i].err, ErrCorruptFrame) {
-					id := selected[i].ID()
-					s.Quarantine(id)
-					s.sink.Event(obs.EventFLQuarantine,
-						tc.SpanLabels(obs.L("client", id))...)
-					s.ledgerAppend(ledger.Event{
-						Kind: ledger.KindQuarantine, TraceID: tc.TraceID, Client: id,
-					})
+			if err := slots[i].err; err != nil {
+				if errors.Is(err, ErrCorruptFrame) {
+					s.quarantineCorrupt(tc, selected[i].ID())
 				}
-				return RoundResult{}, s.abortRound(tc, fmt.Errorf("fl: participant %s: %w", selected[i].ID(), slots[i].err))
+				if failed == nil {
+					failed = fmt.Errorf("fl: participant %s: %w", selected[i].ID(), err)
+				}
 			}
+		}
+		if failed != nil {
+			return RoundResult{}, s.abortRound(tc, failed)
 		}
 		for i := range slots {
 			result.Responses = append(result.Responses, slots[i].resp)
@@ -736,6 +734,14 @@ func (s *Server) RunRound() (RoundResult, error) {
 		Survivors: len(result.Responses), Selected: n,
 	})
 	return result, nil
+}
+
+// quarantineCorrupt quarantines a participant whose frame failed to decode,
+// with its telemetry event and ledger entry.
+func (s *Server) quarantineCorrupt(tc obs.TraceContext, id string) {
+	s.Quarantine(id)
+	s.sink.Event(obs.EventFLQuarantine, tc.SpanLabels(obs.L("client", id))...)
+	s.ledgerAppend(ledger.Event{Kind: ledger.KindQuarantine, TraceID: tc.TraceID, Client: id})
 }
 
 // abortRound journals a failed round's terminal event and passes the error

@@ -8,10 +8,12 @@ package fl
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -348,6 +350,56 @@ func TestPartialAggregateRoundTrip(t *testing.T) {
 		gb, wb := math.Float64bits(got[j]), math.Float64bits(want[j])
 		if gb != wb && !(math.IsNaN(got[j]) && math.IsNaN(want[j])) {
 			t.Fatalf("param %d: %x != %x", j, gb, wb)
+		}
+	}
+}
+
+// TestDecodePartialAggregateIntoKeepsLimbsOnError: a failed decode leaves
+// the frame zeroed but keeps its limb buffer, at length 0, for the next
+// frame. The inputs are garbage, a bad magic, round-frame flags, an
+// oversized meta length, bad meta JSON, an oversized limb count and each
+// truncation of a valid frame.
+func TestDecodePartialAggregateIntoKeepsLimbsOnError(t *testing.T) {
+	x := make([]float64, 64)
+	for i := range x {
+		x[i] = float64(i) - 31.5
+	}
+	v := exact.NewVec(len(x))
+	v.AddScaled(3, x)
+	var buf bytes.Buffer
+	if err := EncodePartialAggregate(&buf, PartialAggregate{Round: 1, Weight: 3, Sum: v.Serialize()}); err != nil {
+		t.Fatal(err)
+	}
+	frame := buf.Bytes()
+	metaLen := int(binary.LittleEndian.Uint32(frame[5:9]))
+	corrupt := func(at int, b ...byte) []byte {
+		out := append([]byte(nil), frame...)
+		copy(out[at:], b)
+		return out
+	}
+	inputs := [][]byte{
+		[]byte("garbage"),
+		corrupt(0, 'X'),                            // magic
+		corrupt(4, 0),                              // flags: not a partial frame
+		corrupt(5, 0xff, 0xff, 0xff, 0x7f),         // meta length
+		corrupt(9, '['),                            // the meta object's opening brace
+		corrupt(9+metaLen, 0xff, 0xff, 0xff, 0x7f), // limb count
+	}
+	for cut := 0; cut < len(frame); cut++ {
+		inputs = append(inputs, frame[:cut])
+	}
+	limbs := make([]uint64, 1024)
+	for i, in := range inputs {
+		pa := PartialAggregate{Round: 9, Sum: exact.Serialized{Dim: 5, Limbs: limbs[:7]}}
+		if err := DecodePartialAggregateInto(bytes.NewReader(in), &pa); err == nil {
+			t.Fatalf("input %d (%d bytes) decoded", i, len(in))
+		}
+		if len(pa.Sum.Limbs) != 0 || cap(pa.Sum.Limbs) != len(limbs) || &pa.Sum.Limbs[:1][0] != &limbs[0] {
+			t.Fatalf("input %d: limbs len %d cap %d, want the caller's 1,024-limb buffer at length 0", i, len(pa.Sum.Limbs), cap(pa.Sum.Limbs))
+		}
+		pa.Sum.Limbs = nil
+		if !reflect.DeepEqual(pa, PartialAggregate{}) {
+			t.Fatalf("input %d: frame not zeroed: %+v", i, pa)
 		}
 	}
 }

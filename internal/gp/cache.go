@@ -75,7 +75,7 @@ func (c *KStarCache) build() {
 			x := c.candidates[i]
 			ks := c.kstars[i*stride : i*stride+n]
 			kernelRow(r.kernel, x, r.xs, ks)
-			c.kxx[i] = priorVariance(r.kernel, x)
+			c.kxx[i] = priorVariance(r.kernel)
 			return ks
 		}
 		i := lo

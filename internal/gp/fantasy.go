@@ -75,7 +75,7 @@ func (f *Fantasy) Condition(x []float64, y float64) (*Regressor, error) {
 	// overwrites it element by element (SolveLowerInto permits aliasing).
 	row := f.chol[n*f.stride : n*f.stride+n]
 	kernelRow(cur.kernel, x, cur.xs, row)
-	kxx := priorVariance(cur.kernel, x) + cur.noise*cur.noise
+	kxx := priorVariance(cur.kernel) + cur.noise*cur.noise
 	_, d := ExtendCholeskyRow(cur.chol, row, kxx, row)
 	f.chol[n*f.stride+n] = d
 

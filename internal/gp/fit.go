@@ -21,24 +21,17 @@ type HyperOptions struct {
 	Iters int
 	// Seed makes the random restarts deterministic.
 	Seed int64
-	// FixedNoise, when > 0, pins the observation-noise standard deviation
-	// instead of optimizing it.
-	FixedNoise float64
-	// UseRBF selects the squared-exponential kernel instead of the default
-	// Matérn-5/2 (ablation).
-	UseRBF bool
 }
 
 // fitWS is the per-restart hyperparameter-search workspace: every
 // log-marginal-likelihood probe reuses the same Gram/factor matrix, solve
-// vectors, kernel structs and parameter buffers, so a full coordinate
+// vectors, kernel struct and parameter buffers, so a full coordinate
 // descent allocates nothing per probe. Pooled across restarts and calls.
 type fitWS struct {
 	chol  *Matrix
 	sy    []float64
 	alpha []float64
 	mat   Matern52
-	rbf   RBF
 	p     []float64
 	cand  []float64
 	// pairs holds the Matérn pair terms of the 2·dim+2 most recently used
@@ -91,10 +84,8 @@ func (ws *fitWS) reset(n, dim, nparams int) {
 	}
 	if cap(ws.mat.Lengthscales) < dim {
 		ws.mat.Lengthscales = make([]float64, dim)
-		ws.rbf.Lengthscales = make([]float64, dim)
 	}
 	ws.mat.Lengthscales = ws.mat.Lengthscales[:dim]
-	ws.rbf.Lengthscales = ws.rbf.Lengthscales[:dim]
 	if cap(ws.p) < nparams {
 		ws.p = make([]float64, nparams)
 		ws.cand = make([]float64, nparams)
@@ -133,17 +124,11 @@ func (ws *fitWS) remember(p []float64, ll float64) {
 func putFitWS(ws *fitWS) { fitWSPool.Put(ws) }
 
 // gram fills the lower triangle of ws.chol bit-identically to
-// gramLowerInto(k, xs, noise, ws.chol). A Matérn kernel takes its pair
-// terms from the cache, computing them only for a lengthscale vector
-// neither slot holds.
-func (ws *fitWS) gram(k Kernel, xs [][]float64, noise float64) {
-	mk, ok := k.(*Matern52)
-	if !ok {
-		gramLowerInto(k, xs, noise, ws.chol)
-		return
-	}
-	terms := ws.pairTerms(mk.Lengthscales, xs)
-	v, diag := mk.Variance, noise*noise
+// gramLowerInto(k, xs, noise, ws.chol), taking the pair terms from the
+// cache and computing them only for a lengthscale vector no slot holds.
+func (ws *fitWS) gram(k *Matern52, xs [][]float64, noise float64) {
+	terms := ws.pairTerms(k.Lengthscales, xs)
+	v, diag := k.Variance, noise*noise
 	data, stride := ws.chol.Data, ws.chol.Cols
 	for i := range xs {
 		row := data[i*stride : i*stride+i+1]
@@ -183,15 +168,9 @@ func (ws *fitWS) pairTerms(ls []float64, xs [][]float64) []float64 {
 	var ilsBuf [maxStackDim]float64
 	ils := reciprocalsInto(ls, ilsBuf[:])
 	t := pc.terms
-	for i := 0; i < n; i++ {
-		xi := xs[i]
-		for j := 0; j < i; j++ {
-			xj := xs[j]
-			r2 := 0.0
-			for d := range ils {
-				dd := (xi[d] - xj[d]) * ils[d]
-				r2 += dd * dd
-			}
+	for i, xi := range xs {
+		for _, xj := range xs[:i] {
+			r2 := scaledDist2(xi, xj, ils)
 			r := math.Sqrt(r2)
 			s5r := math.Sqrt(5) * r
 			t[0] = 1 + s5r + 5*r2/3
@@ -208,7 +187,7 @@ func (ws *fitWS) pairTerms(ls []float64, xs [][]float64) []float64 {
 // into the workspace's reused buffers. Returns −Inf when the Gram matrix is
 // not positive definite even after jittering — exactly the cases where Fit
 // would fail. Bit-identical to Fit followed by LogMarginalLikelihood.
-func fitLL(kernel Kernel, noise float64, xs [][]float64, ys []float64, ws *fitWS) float64 {
+func fitLL(kernel *Matern52, noise float64, xs [][]float64, ys []float64, ws *fitWS) float64 {
 	n := len(xs)
 	mean, std := standardizeParams(ys)
 	sy := ws.sy[:n]
@@ -240,7 +219,7 @@ func fitLL(kernel Kernel, noise float64, xs [][]float64, ys []float64, ws *fitWS
 // FitHyper fits a GP to (xs, ys) with kernel hyperparameters chosen by
 // maximizing the log marginal likelihood. Optimization is a multi-start
 // coordinate descent in log-space over signal variance, per-dimension
-// lengthscales and (optionally) observation noise — simple, dependency-free,
+// lengthscales and observation noise — simple, dependency-free,
 // and reliable for the ≤ 4-D, ≤ 100-point problems BoFL encounters.
 //
 // Search probes evaluate the likelihood only (fitLL, allocation-free through
@@ -286,11 +265,7 @@ func FitHyper(xs [][]float64, ys []float64, opts HyperOptions) (*Regressor, erro
 		for i := range ls {
 			ls[i] = math.Exp(p[1+i])
 		}
-		noise = math.Exp(p[nparams-1])
-		if opts.FixedNoise > 0 {
-			noise = opts.FixedNoise
-		}
-		return math.Exp(p[0]), noise
+		return math.Exp(p[0]), math.Exp(p[nparams-1])
 	}
 
 	// Starting points are drawn serially up front (restart 0 keeps the
@@ -328,16 +303,9 @@ func FitHyper(xs [][]float64, ys []float64, opts HyperOptions) (*Regressor, erro
 			if ll, ok := ws.recall(p); ok {
 				return ll
 			}
-			var k Kernel
 			var noise float64
-			if opts.UseRBF {
-				ws.rbf.Variance, noise = paramsOf(p, ws.rbf.Lengthscales)
-				k = &ws.rbf
-			} else {
-				ws.mat.Variance, noise = paramsOf(p, ws.mat.Lengthscales)
-				k = &ws.mat
-			}
-			ll := fitLL(k, noise, xs, ys, ws)
+			ws.mat.Variance, noise = paramsOf(p, ws.mat.Lengthscales)
+			ll := fitLL(&ws.mat, noise, xs, ys, ws)
 			ws.remember(p, ll)
 			return ll
 		}
@@ -350,9 +318,6 @@ func FitHyper(xs [][]float64, ys []float64, opts HyperOptions) (*Regressor, erro
 		for it := 0; it < iters; it++ {
 			improved := false
 			for i := range p {
-				if opts.FixedNoise > 0 && i == nparams-1 {
-					continue
-				}
 				for _, dir := range [2]float64{1, -1} {
 					copy(cand, p)
 					cand[i] = clamp(cand[i]+dir*step, lower[i], upper[i])
@@ -393,13 +358,7 @@ func FitHyper(xs [][]float64, ys []float64, opts HyperOptions) (*Regressor, erro
 	// this is the exact model the winning probe evaluated.
 	ls := make([]float64, opts.Dim)
 	variance, noise := paramsOf(starts[bestRestart], ls)
-	var k Kernel
-	if opts.UseRBF {
-		k = &RBF{Variance: variance, Lengthscales: ls}
-	} else {
-		k = &Matern52{Variance: variance, Lengthscales: ls}
-	}
-	best, err := Fit(k, noise, xs, ys)
+	best, err := Fit(&Matern52{Variance: variance, Lengthscales: ls}, noise, xs, ys)
 	if err != nil {
 		return nil, fmt.Errorf("gp: refit of selected hyperparameters: %w", err)
 	}

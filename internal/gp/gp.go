@@ -10,7 +10,7 @@ import (
 // mean (observations are standardized internally, matching the paper's
 // m(x)=0 prior). It is immutable after construction.
 type Regressor struct {
-	kernel Kernel
+	kernel *Matern52
 	noise  float64 // observation noise std-dev (in standardized units)
 
 	xs   [][]float64
@@ -28,7 +28,7 @@ var ErrNoData = errors.New("gp: no training observations")
 // Fit conditions a zero-mean GP with the given kernel and noise standard
 // deviation on observations (xs, ys). Targets are standardized internally so
 // the zero-mean prior is reasonable regardless of the objective's scale.
-func Fit(kernel Kernel, noise float64, xs [][]float64, ys []float64) (*Regressor, error) {
+func Fit(kernel *Matern52, noise float64, xs [][]float64, ys []float64) (*Regressor, error) {
 	if len(xs) == 0 {
 		return nil, ErrNoData
 	}
@@ -141,7 +141,7 @@ func (r *Regressor) PredictInto(x []float64, kstar, v []float64) (mu, sigma floa
 	kstar = kstar[:n]
 	muStd := kernelRowMu(r.kernel, x, r.xs, kstar, r.alpha)
 	_, normVV := SolveLowerNormInto(r.chol, kstar, v)
-	varStd := priorVariance(r.kernel, x) - normVV
+	varStd := priorVariance(r.kernel) - normVV
 	if varStd < 0 {
 		varStd = 0
 	}
@@ -158,9 +158,9 @@ func (r *Regressor) PredictBatch(xs [][]float64) (mus, sigmas []float64) {
 }
 
 // PredictBatchInto is PredictBatch into caller-provided output slices (each
-// of len ≥ len(xs)) and scratch (len ≥ 2·N()): the fused, allocation-free
-// batch predict used in steady state. The allocation-regression suite pins
-// it at zero allocs per batch.
+// of len ≥ len(xs)) and scratch (len ≥ 2·N()), with no allocation (the
+// allocation-regression suite pins zero allocs per batch). The acquisition
+// scans do not use it: they predict from a KStarCache.
 func (r *Regressor) PredictBatchInto(xs [][]float64, mus, sigmas, scratch []float64) {
 	n := len(r.xs)
 	kstar, v := scratch[:n], scratch[n:2*n]
@@ -178,10 +178,10 @@ func (r *Regressor) LogMarginalLikelihood() float64 {
 	return -0.5*Dot(r.ys, r.alpha) - 0.5*LogDetFromCholesky(r.chol) - 0.5*n*math.Log(2*math.Pi)
 }
 
-// Condition returns a new regressor with one extra observation appended. It
-// refits from scratch, which is O(n³) but n stays small (tens of points) in
-// BoFL's exploration phases. Used by the Kriging-believer batch strategy to
-// fantasize observations.
+// Condition returns a new regressor with one extra observation appended,
+// refit from scratch in O(n³) with the target standardization recomputed.
+// Only tests call it, as the full-refit oracle; the Kriging-believer batch
+// conditions through a Fantasy chain.
 func (r *Regressor) Condition(x []float64, y float64) (*Regressor, error) {
 	xs := make([][]float64, 0, len(r.xs)+1)
 	ys := make([]float64, 0, len(r.xs)+1)

@@ -25,51 +25,95 @@ func TestKernelValidation(t *testing.T) {
 	if _, err := NewMatern52(1, []float64{0}); err == nil {
 		t.Error("zero lengthscale accepted")
 	}
-	if _, err := NewRBF(-1, []float64{1}); err == nil {
-		t.Error("rbf negative variance accepted")
-	}
-	if _, err := NewRBF(1, []float64{-2}); err == nil {
-		t.Error("rbf negative lengthscale accepted")
-	}
-	if _, err := NewRBF(1, nil); err == nil {
-		t.Error("rbf empty lengthscales accepted")
-	}
 }
 
 func TestKernelProperties(t *testing.T) {
-	kernels := []Kernel{
-		mustMatern(t, 2.0, []float64{0.5, 1.5}),
-		func() Kernel {
-			k, err := NewRBF(2.0, []float64{0.5, 1.5})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return k
-		}(),
-	}
+	k := mustMatern(t, 2.0, []float64{0.5, 1.5})
 	rng := rand.New(rand.NewSource(5))
-	for _, k := range kernels {
-		if k.Dim() != 2 {
-			t.Errorf("Dim = %d, want 2", k.Dim())
+	if k.Dim() != 2 {
+		t.Errorf("Dim = %d, want 2", k.Dim())
+	}
+	for trial := 0; trial < 100; trial++ {
+		x := []float64{rng.NormFloat64(), rng.NormFloat64()}
+		y := []float64{rng.NormFloat64(), rng.NormFloat64()}
+		kxy, kyx := k.Eval(x, y), k.Eval(y, x)
+		if math.Abs(kxy-kyx) > 1e-12 {
+			t.Fatalf("kernel not symmetric: %v vs %v", kxy, kyx)
 		}
-		for trial := 0; trial < 100; trial++ {
-			x := []float64{rng.NormFloat64(), rng.NormFloat64()}
-			y := []float64{rng.NormFloat64(), rng.NormFloat64()}
-			kxy, kyx := k.Eval(x, y), k.Eval(y, x)
-			if math.Abs(kxy-kyx) > 1e-12 {
-				t.Fatalf("kernel not symmetric: %v vs %v", kxy, kyx)
+		kxx := k.Eval(x, x)
+		if math.Abs(kxx-2.0) > 1e-12 {
+			t.Fatalf("k(x,x) = %v, want variance 2", kxx)
+		}
+		if kxy > kxx+1e-12 {
+			t.Fatalf("|k(x,y)| exceeds k(x,x): %v > %v", kxy, kxx)
+		}
+		if kxy < 0 {
+			t.Fatalf("stationary kernel went negative: %v", kxy)
+		}
+	}
+}
+
+// logUniform draws from [lo, hi] uniformly in log-space, the way FitHyper's
+// restarts draw hyperparameters.
+func logUniform(rng *rand.Rand, lo, hi float64) float64 {
+	return math.Exp(math.Log(lo) + rng.Float64()*(math.Log(hi)-math.Log(lo)))
+}
+
+// TestMaternSweepsAgree holds the reciprocal-lengthscale sweeps to each
+// other and to Eval's division form. Over 200,000 pairs of random 1–4-D
+// inputs in [0,1], with variances and lengthscales drawn across FitHyper's
+// search box, gramLowerInto, kernelRow, kernelRowMu, kernel1 and
+// priorVariance must give the same bits, kernelRowMu's mean must be
+// Dot(row, alpha) bit for bit, and every covariance must lie within 1e-12
+// relative of Eval. The sweeps do not match Eval to an ulp: exp(−√5r)
+// multiplies the rounding of r² by about √5r, which reaches ~150 at the
+// shortest lengthscales.
+func TestMaternSweepsAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	const sets, n = 2000, 10
+	gram := NewMatrix(n, n)
+	row, rowMu, alpha := make([]float64, n), make([]float64, n), make([]float64, n)
+	worstRel, worstULP := 0.0, uint64(0)
+	for set := 0; set < sets; set++ {
+		dim := 1 + rng.Intn(4)
+		ls := make([]float64, dim)
+		for d := range ls {
+			ls[d] = logUniform(rng, 0.03, 10)
+		}
+		k := mustMatern(t, logUniform(rng, 1e-2, 1e2), ls)
+		xs := randomCandidates(rng, n, dim)
+		for i := range alpha {
+			alpha[i] = rng.NormFloat64()
+		}
+		gramLowerInto(k, xs, 0, gram)
+		for i, x := range xs {
+			kernelRow(k, x, xs, row)
+			mu := kernelRowMu(k, x, xs, rowMu, alpha)
+			if dot := Dot(row, alpha); math.Float64bits(mu) != math.Float64bits(dot) {
+				t.Fatalf("set %d row %d: kernelRowMu's mean %v, Dot(kernelRow, alpha) %v", set, i, mu, dot)
 			}
-			kxx := k.Eval(x, x)
-			if math.Abs(kxx-2.0) > 1e-12 {
-				t.Fatalf("k(x,x) = %v, want variance 2", kxx)
-			}
-			if kxy > kxx+1e-12 {
-				t.Fatalf("|k(x,y)| exceeds k(x,x): %v > %v", kxy, kxx)
-			}
-			if kxy < 0 {
-				t.Fatalf("stationary kernel went negative: %v", kxy)
+			for j, y := range xs {
+				want := gram.At(max(i, j), min(i, j))
+				if i == j && math.Float64bits(priorVariance(k)) != math.Float64bits(want) {
+					t.Fatalf("set %d: priorVariance %v, Gram diagonal %v", set, priorVariance(k), want)
+				}
+				for name, got := range map[string]float64{"kernelRow": row[j], "kernelRowMu": rowMu[j], "kernel1": kernel1(k, x, y)} {
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("set %d pair (%d,%d): %s %v, Gram %v", set, i, j, name, got, want)
+					}
+				}
+				eval := k.Eval(x, y)
+				if rel := math.Abs(want-eval) / eval; rel > worstRel {
+					worstRel = rel
+				}
+				a, b := math.Float64bits(want), math.Float64bits(eval)
+				worstULP = max(worstULP, max(a, b)-min(a, b))
 			}
 		}
+	}
+	t.Logf("worst gap to Eval over %d pairs: %.3g relative, %d ulps", sets*n*n, worstRel, worstULP)
+	if worstRel > 1e-12 {
+		t.Errorf("a sweep strays %.3g relative from Eval, want ≤ 1e-12", worstRel)
 	}
 }
 
@@ -268,17 +312,5 @@ func TestFitHyperDeterministicBySeed(t *testing.T) {
 	muB, sB := b.Predict([]float64{0.5})
 	if muA != muB || sA != sB {
 		t.Errorf("same seed produced different models: (%v,%v) vs (%v,%v)", muA, sA, muB, sB)
-	}
-}
-
-func TestFitHyperRBFAblation(t *testing.T) {
-	xs := [][]float64{{0.1}, {0.4}, {0.8}}
-	ys := []float64{1, 0.5, 2}
-	r, err := FitHyper(xs, ys, HyperOptions{Dim: 1, Seed: 3, Restarts: 2, Iters: 5, UseRBF: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.N() != 3 {
-		t.Errorf("N = %d, want 3", r.N())
 	}
 }

@@ -5,29 +5,19 @@ import (
 	"math"
 )
 
-// Kernel is a positive-definite covariance function over real vectors.
-type Kernel interface {
-	// Eval returns k(x, y). x and y must have the dimensionality the
-	// kernel was constructed with.
-	Eval(x, y []float64) float64
-	// Dim returns the expected input dimensionality.
-	Dim() int
-}
-
 // Matern52 is the Matérn-5/2 kernel with ARD (per-dimension) lengthscales and
 // a signal variance:
 //
 //	k(x,y) = σ² · (1 + √5 r + 5r²/3) · exp(−√5 r),  r² = Σ ((x_i−y_i)/ℓ_i)²
 //
-// This is the prior the BoFL paper uses for both objective surrogates (§4.3);
-// it yields twice-differentiable sample paths, which captures a large variety
-// of function properties without the over-smoothness of the RBF kernel.
+// This is the prior the BoFL paper uses for both objective surrogates (§4.3),
+// and the GP's only kernel; it yields twice-differentiable sample paths, which
+// captures a large variety of function properties without the
+// over-smoothness of a squared-exponential prior.
 type Matern52 struct {
 	Variance     float64   // σ², must be > 0
 	Lengthscales []float64 // ℓ, one per input dimension, each > 0
 }
-
-var _ Kernel = (*Matern52)(nil)
 
 // NewMatern52 constructs a Matérn-5/2 kernel with the given signal variance
 // and per-dimension lengthscales.
@@ -63,57 +53,17 @@ func (k *Matern52) Eval(x, y []float64) float64 {
 	return k.Variance * (1 + s5r + 5*r2/3) * math.Exp(-s5r)
 }
 
-// RBF is the squared-exponential kernel with ARD lengthscales:
-//
-//	k(x,y) = σ² · exp(−½ Σ ((x_i−y_i)/ℓ_i)²)
-//
-// Provided as an alternative prior for ablation experiments.
-type RBF struct {
-	Variance     float64
-	Lengthscales []float64
-}
-
-var _ Kernel = (*RBF)(nil)
-
-// NewRBF constructs a squared-exponential kernel.
-func NewRBF(variance float64, lengthscales []float64) (*RBF, error) {
-	if variance <= 0 {
-		return nil, fmt.Errorf("gp: rbf variance %v must be positive", variance)
-	}
-	if len(lengthscales) == 0 {
-		return nil, fmt.Errorf("gp: rbf needs at least one lengthscale")
-	}
-	for i, l := range lengthscales {
-		if l <= 0 {
-			return nil, fmt.Errorf("gp: rbf lengthscale[%d]=%v must be positive", i, l)
-		}
-	}
-	ls := make([]float64, len(lengthscales))
-	copy(ls, lengthscales)
-	return &RBF{Variance: variance, Lengthscales: ls}, nil
-}
-
-// Dim returns the input dimensionality.
-func (k *RBF) Dim() int { return len(k.Lengthscales) }
-
-// Eval returns the squared-exponential covariance between x and y.
-func (k *RBF) Eval(x, y []float64) float64 {
-	r2 := 0.0
-	for i := range k.Lengthscales {
-		d := (x[i] - y[i]) / k.Lengthscales[i]
-		r2 += d * d
-	}
-	return k.Variance * math.Exp(-0.5*r2)
-}
-
-// The devirtualized sweeps below are the numeric hot paths: they strength-
-// reduce the per-dimension division to a multiplication by a precomputed
-// reciprocal lengthscale. That shifts individual covariance values by at most
-// an ulp per dimension relative to Eval, so every internal consumer (the Gram
-// build, predict rows, Cholesky row extension, candidate caches) goes through
-// these sweeps — they are all mutually bit-consistent, which is what the
-// exact-equivalence tests (rank-1 update vs refit) rely on. Eval remains the
-// division-based reference for external callers and the generic fallback.
+// The sweeps below are the numeric hot paths: they strength-reduce the
+// per-dimension division to a multiplication by a precomputed reciprocal
+// lengthscale. That rounds r² differently from Eval, and exp(−√5r)
+// multiplies the difference by about √5r, so at FitHyper's shortest
+// lengthscales a sweep's covariance can sit a few hundred ulps from Eval's;
+// TestMaternSweepsAgree bounds the gap at 1e-12 relative. Every internal
+// consumer (the Gram build, predict rows, Cholesky row extension, candidate
+// caches) goes through these sweeps, and they agree with each other bit for
+// bit (the same test pins it), which is what the exact-equivalence tests
+// (rank-1 update vs refit) rely on. Eval remains the division-form reference
+// for tests and external callers.
 
 // maxStackDim bounds the reciprocal-lengthscale scratch that lives on the
 // stack; larger dimensionalities fall back to a heap allocation.
@@ -132,30 +82,31 @@ func reciprocalsInto(ls []float64, buf []float64) []float64 {
 	return ils
 }
 
-// priorVariance returns k(x, x). For the stationary kernels this is exactly
-// the signal variance (r = 0 makes every remaining factor exactly 1), so the
-// kernel sweep is skipped entirely.
-func priorVariance(k Kernel, x []float64) float64 {
-	switch kk := k.(type) {
-	case *Matern52:
-		return kk.Variance
-	case *RBF:
-		return kk.Variance
-	default:
-		return k.Eval(x, x)
+// scaledDist2 returns r² = Σ ((x_d − y_d)·ils_d)² for reciprocal
+// lengthscales ils.
+func scaledDist2(x, y, ils []float64) float64 {
+	r2 := 0.0
+	for d := range ils {
+		dd := (x[d] - y[d]) * ils[d]
+		r2 += dd * dd
 	}
+	return r2
 }
+
+// priorVariance returns k(x, x) for any x: r = 0 makes both Matérn factors
+// exactly 1, leaving the signal variance.
+func priorVariance(k *Matern52) float64 { return k.Variance }
 
 // GramMatrix builds the n×n covariance matrix K with K_ij = k(xs[i], xs[j])
 // plus noise² on the diagonal.
-func GramMatrix(k Kernel, xs [][]float64, noise float64) *Matrix {
+func GramMatrix(k *Matern52, xs [][]float64, noise float64) *Matrix {
 	m := NewMatrix(len(xs), len(xs))
 	GramInto(k, xs, noise, m)
 	return m
 }
 
 // GramInto is GramMatrix into a caller-provided n×n matrix.
-func GramInto(k Kernel, xs [][]float64, noise float64, m *Matrix) {
+func GramInto(k *Matern52, xs [][]float64, noise float64, m *Matrix) {
 	gramLowerInto(k, xs, noise, m)
 	// Mirror the strictly-lower triangle into the upper one.
 	n := len(xs)
@@ -170,120 +121,42 @@ func GramInto(k Kernel, xs [][]float64, noise float64, m *Matrix) {
 // gramLowerInto fills the lower triangle (diagonal included, with noise²
 // added) of m with the covariance of xs against itself, leaving the strictly
 // upper triangle untouched. This is all the in-place Cholesky factorization
-// reads, so Fit skips the mirror pass.
-func gramLowerInto(k Kernel, xs [][]float64, noise float64, m *Matrix) {
-	n := len(xs)
+// reads, so Fit skips the mirror pass. Row i is kernelRow of xs[i] against
+// xs[:i].
+func gramLowerInto(k *Matern52, xs [][]float64, noise float64, m *Matrix) {
 	data, stride := m.Data, m.Cols
 	diag := noise * noise
-	var ilsBuf [maxStackDim]float64
-	switch kk := k.(type) {
-	case *Matern52:
-		v := kk.Variance
-		ils := reciprocalsInto(kk.Lengthscales, ilsBuf[:])
-		for i := 0; i < n; i++ {
-			xi := xs[i]
-			row := data[i*stride : i*stride+i+1]
-			for j := 0; j < i; j++ {
-				xj := xs[j]
-				r2 := 0.0
-				for d := range ils {
-					dd := (xi[d] - xj[d]) * ils[d]
-					r2 += dd * dd
-				}
-				r := math.Sqrt(r2)
-				s5r := math.Sqrt(5) * r
-				row[j] = v * (1 + s5r + 5*r2/3) * math.Exp(-s5r)
-			}
-			row[i] = v + diag
-		}
-	case *RBF:
-		v := kk.Variance
-		ils := reciprocalsInto(kk.Lengthscales, ilsBuf[:])
-		for i := 0; i < n; i++ {
-			xi := xs[i]
-			row := data[i*stride : i*stride+i+1]
-			for j := 0; j < i; j++ {
-				xj := xs[j]
-				r2 := 0.0
-				for d := range ils {
-					dd := (xi[d] - xj[d]) * ils[d]
-					r2 += dd * dd
-				}
-				row[j] = v * math.Exp(-0.5*r2)
-			}
-			row[i] = v + diag
-		}
-	default:
-		for i := 0; i < n; i++ {
-			row := data[i*stride : i*stride+i+1]
-			for j := 0; j < i; j++ {
-				row[j] = k.Eval(xs[i], xs[j])
-			}
-			row[i] = k.Eval(xs[i], xs[i]) + diag
-		}
+	for i, xi := range xs {
+		row := data[i*stride : i*stride+i+1]
+		kernelRow(k, xi, xs[:i], row)
+		row[i] = k.Variance + diag
 	}
 }
 
-// kernel1 evaluates a single covariance k(x, y) with the same reciprocal-
-// lengthscale arithmetic as the sweeps, so mixing single evaluations with row
-// sweeps stays bit-consistent.
-func kernel1(k Kernel, x, y []float64) float64 {
-	switch kk := k.(type) {
-	case *Matern52:
-		r2 := 0.0
-		for d, l := range kk.Lengthscales {
-			dd := (x[d] - y[d]) * (1 / l)
-			r2 += dd * dd
-		}
+// kernel1 evaluates a single covariance k(x, y) with the sweeps' reciprocal-
+// lengthscale arithmetic, so mixing single evaluations with row sweeps stays
+// bit-consistent.
+func kernel1(k *Matern52, x, y []float64) float64 {
+	r2 := 0.0
+	for d, l := range k.Lengthscales {
+		dd := (x[d] - y[d]) * (1 / l)
+		r2 += dd * dd
+	}
+	r := math.Sqrt(r2)
+	s5r := math.Sqrt(5) * r
+	return k.Variance * (1 + s5r + 5*r2/3) * math.Exp(-s5r)
+}
+
+// kernelRow fills ks[i] = k(x, xs[i]). ks must have len ≥ len(xs).
+func kernelRow(k *Matern52, x []float64, xs [][]float64, ks []float64) {
+	var ilsBuf [maxStackDim]float64
+	ils := reciprocalsInto(k.Lengthscales, ilsBuf[:])
+	v := k.Variance
+	for i, xi := range xs {
+		r2 := scaledDist2(x, xi, ils)
 		r := math.Sqrt(r2)
 		s5r := math.Sqrt(5) * r
-		return kk.Variance * (1 + s5r + 5*r2/3) * math.Exp(-s5r)
-	case *RBF:
-		r2 := 0.0
-		for d, l := range kk.Lengthscales {
-			dd := (x[d] - y[d]) * (1 / l)
-			r2 += dd * dd
-		}
-		return kk.Variance * math.Exp(-0.5*r2)
-	default:
-		return k.Eval(x, y)
-	}
-}
-
-// kernelRow fills ks[i] = k(x, xs[i]) with the same devirtualized arithmetic
-// as gramLowerInto (reciprocal lengthscales), so a row computed here matches
-// the corresponding Gram row bit-for-bit. ks must have len ≥ len(xs).
-func kernelRow(k Kernel, x []float64, xs [][]float64, ks []float64) {
-	var ilsBuf [maxStackDim]float64
-	switch kk := k.(type) {
-	case *Matern52:
-		v := kk.Variance
-		ils := reciprocalsInto(kk.Lengthscales, ilsBuf[:])
-		for i, xi := range xs {
-			r2 := 0.0
-			for d := range ils {
-				dd := (x[d] - xi[d]) * ils[d]
-				r2 += dd * dd
-			}
-			r := math.Sqrt(r2)
-			s5r := math.Sqrt(5) * r
-			ks[i] = v * (1 + s5r + 5*r2/3) * math.Exp(-s5r)
-		}
-	case *RBF:
-		v := kk.Variance
-		ils := reciprocalsInto(kk.Lengthscales, ilsBuf[:])
-		for i, xi := range xs {
-			r2 := 0.0
-			for d := range ils {
-				dd := (x[d] - xi[d]) * ils[d]
-				r2 += dd * dd
-			}
-			ks[i] = v * math.Exp(-0.5*r2)
-		}
-	default:
-		for i, xi := range xs {
-			ks[i] = k.Eval(x, xi)
-		}
+		ks[i] = v * (1 + s5r + 5*r2/3) * math.Exp(-s5r)
 	}
 }
 
@@ -291,44 +164,18 @@ func kernelRow(k Kernel, x []float64, xs [][]float64, ks []float64) {
 // returns Σ ks[i]·alpha[i] accumulated in the same ascending order
 // Dot(ks, alpha) uses, while filling ks — one pass instead of two,
 // bit-identical to the separate sweep.
-func kernelRowMu(k Kernel, x []float64, xs [][]float64, ks, alpha []float64) float64 {
-	mu := 0.0
+func kernelRowMu(k *Matern52, x []float64, xs [][]float64, ks, alpha []float64) float64 {
 	var ilsBuf [maxStackDim]float64
-	switch kk := k.(type) {
-	case *Matern52:
-		v := kk.Variance
-		ils := reciprocalsInto(kk.Lengthscales, ilsBuf[:])
-		for i, xi := range xs {
-			r2 := 0.0
-			for d := range ils {
-				dd := (x[d] - xi[d]) * ils[d]
-				r2 += dd * dd
-			}
-			r := math.Sqrt(r2)
-			s5r := math.Sqrt(5) * r
-			kv := v * (1 + s5r + 5*r2/3) * math.Exp(-s5r)
-			ks[i] = kv
-			mu += kv * alpha[i]
-		}
-	case *RBF:
-		v := kk.Variance
-		ils := reciprocalsInto(kk.Lengthscales, ilsBuf[:])
-		for i, xi := range xs {
-			r2 := 0.0
-			for d := range ils {
-				dd := (x[d] - xi[d]) * ils[d]
-				r2 += dd * dd
-			}
-			kv := v * math.Exp(-0.5*r2)
-			ks[i] = kv
-			mu += kv * alpha[i]
-		}
-	default:
-		for i, xi := range xs {
-			kv := k.Eval(x, xi)
-			ks[i] = kv
-			mu += kv * alpha[i]
-		}
+	ils := reciprocalsInto(k.Lengthscales, ilsBuf[:])
+	v := k.Variance
+	mu := 0.0
+	for i, xi := range xs {
+		r2 := scaledDist2(x, xi, ils)
+		r := math.Sqrt(r2)
+		s5r := math.Sqrt(5) * r
+		kv := v * (1 + s5r + 5*r2/3) * math.Exp(-s5r)
+		ks[i] = kv
+		mu += kv * alpha[i]
 	}
 	return mu
 }

@@ -23,11 +23,11 @@ func (r *Regressor) ConditionFast(x []float64, y float64) (*Regressor, error) {
 	n := len(r.xs)
 
 	// Covariance of the new point against the training set and itself,
-	// via the same devirtualized sweep the Gram build uses so the appended
-	// row matches what a full refactorization would see bit-for-bit.
+	// via the same sweep the Gram build uses, so the appended row matches
+	// what a full refactorization would see bit-for-bit.
 	kvec := make([]float64, n)
 	kernelRow(r.kernel, x, r.xs, kvec)
-	kxx := priorVariance(r.kernel, x) + r.noise*r.noise
+	kxx := priorVariance(r.kernel) + r.noise*r.noise
 
 	chol := NewMatrix(n+1, n+1)
 	for i := 0; i < n; i++ {

@@ -34,8 +34,6 @@ type Options struct {
 	// between FL rounds and must finish in bounded time).
 	Restarts int
 	Iters    int
-	// UseRBF switches the surrogate kernel (ablation).
-	UseRBF bool
 }
 
 // Optimizer is a multi-objective Bayesian optimizer over a fixed, finite
@@ -137,7 +135,6 @@ func (o *Optimizer) Fit() error {
 		Restarts: o.opts.Restarts,
 		Iters:    o.opts.Iters,
 		Seed:     o.opts.Seed,
-		UseRBF:   o.opts.UseRBF,
 	}
 	hyperT := hyper
 	hyperT.Seed = o.opts.Seed + 1

@@ -99,7 +99,6 @@ func (p *ParEGO) SuggestBatch(k int) ([]Suggestion, error) {
 			Restarts: max1(p.opts.Restarts, 1),
 			Iters:    max1(p.opts.Iters, 3),
 			Seed:     p.opts.Seed + int64(pick),
-			UseRBF:   p.opts.UseRBF,
 		})
 		endFit()
 		if err != nil {
