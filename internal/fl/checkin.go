@@ -158,7 +158,7 @@ func CheckInContext(ctx context.Context, serverURL string, req CheckinRequest, t
 		return fmt.Errorf("fl: check-in with %s: %s: %s", serverURL, resp.Status, msg)
 	}
 	var ack CheckinResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxControlBody)).Decode(&ack); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(nil, resp.Body, maxControlBody)).Decode(&ack); err != nil {
 		return fmt.Errorf("fl: decode check-in ack: %w", err)
 	}
 	if !ack.Accepted {

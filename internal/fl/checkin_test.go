@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -153,8 +154,9 @@ func serveOversizedJSON(w http.ResponseWriter, head string, pad int, tail string
 
 // TestCheckinDialBackCapsInfoBody: a check-in names the URL the registry
 // dials back, so a hostile peer can point it at an endpoint serving a huge
-// /v1/info. The dial-back must fail at the control-plane cap, with its
-// allocation bounded by the cap rather than by the body.
+// /v1/info. The dial-back must fail at the control-plane cap with
+// *http.MaxBytesError, its allocation bounded by the cap rather than by the
+// body.
 func TestCheckinDialBackCapsInfoBody(t *testing.T) {
 	const pad = 16 * maxControlBody
 	info := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -167,8 +169,8 @@ func TestCheckinDialBackCapsInfoBody(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	err := reg.CheckIn(CheckinRequest{ClientID: "big", BaseURL: info.URL})
 	runtime.ReadMemStats(&after)
-	if !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("dial-back against a %d-byte /v1/info: err %v, want a truncated read", pad, err)
+	if !errors.As(err, new(*http.MaxBytesError)) {
+		t.Fatalf("dial-back against a %d-byte /v1/info: err %v, want *http.MaxBytesError", pad, err)
 	}
 	if reg.Len() != 0 {
 		t.Error("oversized /v1/info registered anyway")
@@ -179,7 +181,7 @@ func TestCheckinDialBackCapsInfoBody(t *testing.T) {
 }
 
 // TestCheckinContextCapsAck: the client-side check-in rejects an ack body
-// over the control-plane cap instead of decoding it.
+// over the control-plane cap with *http.MaxBytesError instead of decoding it.
 func TestCheckinContextCapsAck(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		serveOversizedJSON(w, `{"accepted":true,"message":"`, 2*maxControlBody, `"}`)
@@ -187,8 +189,44 @@ func TestCheckinContextCapsAck(t *testing.T) {
 	defer srv.Close()
 
 	err := CheckInContext(context.Background(), srv.URL, CheckinRequest{ClientID: "c", BaseURL: "http://x"}, 30*time.Second)
-	if !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("ack over the cap: err %v, want a truncated read", err)
+	if !errors.As(err, new(*http.MaxBytesError)) {
+		t.Fatalf("ack over the cap: err %v, want *http.MaxBytesError", err)
+	}
+}
+
+// TestCheckinBodyCutShort: a peer that hangs up mid-body, under the
+// control-plane cap, still fails as a truncated read (io.ErrUnexpectedEOF),
+// not as an oversized body: the ack on the client side and /v1/info on the
+// dial-back.
+func TestCheckinBodyCutShort(t *testing.T) {
+	hangUp := func(head string) *httptest.Server {
+		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			conn, buf, err := w.(http.Hijacker).Hijack()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			fmt.Fprintf(buf, "HTTP/1.1 200 OK\r\nContent-Type: %s\r\nContent-Length: 4096\r\n\r\n%s", ContentTypeJSON, head)
+			buf.Flush()
+		}))
+	}
+
+	ack := hangUp(`{"accepted":true,"message":"cut`)
+	defer ack.Close()
+	err := CheckInContext(context.Background(), ack.URL, CheckinRequest{ClientID: "c", BaseURL: "http://x"}, 30*time.Second)
+	if !errors.Is(err, io.ErrUnexpectedEOF) || errors.As(err, new(*http.MaxBytesError)) {
+		t.Errorf("ack cut short: err %v, want io.ErrUnexpectedEOF", err)
+	}
+
+	info := hangUp(`{"clientId":"cut","tminPerJobSeconds":0.1,"device":"`)
+	defer info.Close()
+	reg := NewRegistry(30 * time.Second)
+	err = reg.CheckIn(CheckinRequest{ClientID: "cut", BaseURL: info.URL})
+	if !errors.Is(err, io.ErrUnexpectedEOF) || errors.As(err, new(*http.MaxBytesError)) {
+		t.Errorf("/v1/info cut short: err %v, want io.ErrUnexpectedEOF", err)
+	}
+	if reg.Len() != 0 {
+		t.Error("cut-short /v1/info registered anyway")
 	}
 }
 

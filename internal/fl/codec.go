@@ -9,7 +9,9 @@ package fl
 //	offset  size  field
 //	0       4     magic "BFL1" (version is part of the magic)
 //	4       1     flags: bit0 payload gzipped, bit1 float32-narrowed,
-//	              bit3 aux vector section present
+//	              bit3 aux vector section present (bits 2 and 4 mark
+//	              partial-aggregate frames, codec_partial.go, which the
+//	              round decoders reject)
 //	5       4     uint32 LE: metadata length M
 //	9       M     metadata (JSON: everything except Params)
 //	9+M     4     uint32 LE: parameter count N
@@ -29,7 +31,7 @@ package fl
 //     float32 — the common case for models trained in single precision and
 //     shipped through a float64 API — values are stored as 4-byte floats.
 //     Widening on decode reproduces the input bit-for-bit.
-//   - gzip: payloads at or above gzipThreshold are compressed at
+//   - gzip: parameter payloads at or above compressThreshold are compressed at
 //     gzip.BestSpeed (flate's fast encoder). Model deltas with structure
 //     (zero runs, repeated exponents) shrink further; where entropy coding
 //     saves too little — fully random mantissas — the encoder falls back to
@@ -71,10 +73,11 @@ const (
 var frameMagic = [4]byte{'B', 'F', 'L', '1'}
 
 // ErrCorruptFrame tags every structural decode failure — truncation, bad
-// magic, unknown flags, length-field lies, gzip damage, garbled metadata. The
-// serving plane's quarantine path matches it with errors.Is to tell a client
-// shipping damaged frames apart from a client that merely timed out, so the
-// decoder must never surface a raw io or gzip error for hostile input.
+// magic, unknown flags, length-field lies, gzip or packed-payload damage,
+// garbled metadata. The serving plane's quarantine path matches it with
+// errors.Is to tell a client shipping damaged frames apart from a client
+// that merely timed out, so the decoder must never surface a raw io or gzip
+// error for hostile input.
 var ErrCorruptFrame = errors.New("fl: corrupt frame")
 
 const (
@@ -87,10 +90,11 @@ const (
 	// the same count/length/payload layout.
 	flagAux byte = 1 << 3
 
-	// gzipThreshold is the raw payload size in bytes at which the encoder
-	// switches gzip on. Below it the ~20-byte gzip framing and the CPU cost
-	// outweigh any win on small vectors.
-	gzipThreshold = 64 << 10
+	// compressThreshold is the raw payload size in bytes at which the
+	// encoders compress: gzip for a parameter payload, packing for a partial
+	// frame's limb window (codec_partial.go). Below it the framing and the
+	// CPU cost outweigh any win on small vectors.
+	compressThreshold = 64 << 10
 
 	// Decoder sanity caps: a frame that claims more is rejected before any
 	// allocation, so truncated or hostile inputs cannot balloon memory.
@@ -228,7 +232,7 @@ func stageVec(vec []float64) (flags byte, payload []byte, release func(), err er
 		}
 	}
 	payload = *raw
-	if len(payload) >= gzipThreshold {
+	if len(payload) >= compressThreshold {
 		comp, err := deflate(payload)
 		if err != nil {
 			putBytes(raw)

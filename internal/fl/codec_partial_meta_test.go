@@ -101,24 +101,23 @@ func metaEqual(a, b partialMeta) bool {
 // the codec pools are warm, a full SerializeInto → Encode → DecodeInto →
 // Absorb cycle — what a tier aggregator in another process would run per
 // node close; the in-process spine only encodes, to count the bytes — must
-// stay on pooled state. Below gzipThreshold (dim 256, a fleet close) it allocates at
-// most a handful of objects; the budget tolerates pool churn under GC
-// pressure while catching any per-frame regression (escaping headers,
-// metadata structs, trace strings). At the round-http model's dim the frame
-// is gzipped, and compress/flate's inflater allocates per Huffman block, so
-// that cycle is bounded in bytes instead: under a quarter of the raw limb
-// payload, which a frame-sized buffer escaping its pool would exceed.
+// stay on pooled state, raw or packed: at dim 256 (a fleet close, below
+// compressThreshold) and at the round-http model's dim, whose window is
+// packed. It allocates at most a handful of objects; the budget tolerates
+// pool churn under GC pressure while catching any per-frame regression
+// (escaping headers, metadata structs, trace strings, a frame-sized buffer
+// escaping its pool).
 func TestPartialFrameCycleAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector's sync.Pool drops Puts; alloc counts are meaningless")
 	}
 	for _, tc := range []struct {
-		dim  int
-		gzip bool // the limb window reaches gzipThreshold
-		runs int
+		dim    int
+		packed bool // the limb window reaches compressThreshold
+		runs   int
 	}{
 		{dim: 256, runs: 10},
-		{dim: 16_672, gzip: true, runs: 100},
+		{dim: 16_672, packed: true, runs: 100},
 	} {
 		x := make([]float64, tc.dim)
 		for i := range x {
@@ -129,10 +128,11 @@ func TestPartialFrameCycleAllocs(t *testing.T) {
 		parent := exact.NewVec(tc.dim)
 
 		var (
-			ser   exact.Serialized
-			buf   bytes.Buffer
-			dec   PartialAggregate
-			flags byte
+			ser      exact.Serialized
+			buf      bytes.Buffer
+			dec      PartialAggregate
+			flags    byte
+			frameLen int
 		)
 		cycle := func() {
 			v.SerializeInto(&ser)
@@ -145,7 +145,7 @@ func TestPartialFrameCycleAllocs(t *testing.T) {
 			if err := EncodePartialAggregate(&buf, pa); err != nil {
 				t.Fatal(err)
 			}
-			flags = buf.Bytes()[4]
+			flags, frameLen = buf.Bytes()[4], buf.Len()
 			if err := DecodePartialAggregateInto(&buf, &dec); err != nil {
 				t.Fatal(err)
 			}
@@ -154,11 +154,11 @@ func TestPartialFrameCycleAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for i := 0; i < 3; i++ { // warm the byte/meta/gzip pools
+		for i := 0; i < 3; i++ { // warm the byte and meta pools
 			cycle()
 		}
-		if got := flags&flagGzip != 0; got != tc.gzip {
-			t.Fatalf("dim %d: gzip flag %v, want %v", tc.dim, got, tc.gzip)
+		if got := flags&flagPacked != 0; got != tc.packed {
+			t.Fatalf("dim %d: packed flag %v, want %v", tc.dim, got, tc.packed)
 		}
 
 		var before, after runtime.MemStats
@@ -167,14 +167,10 @@ func TestPartialFrameCycleAllocs(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		// AllocsPerRun makes one warm-up call before its runs.
 		perCycle := float64(after.TotalAlloc-before.TotalAlloc) / float64(tc.runs+1)
-		rawBytes := len(ser.Limbs) * 8
-		t.Logf("dim %d partial frame cycle: %.1f allocs, %.0f B (limb window %d B)", tc.dim, avg, perCycle, rawBytes)
-		if !tc.gzip && avg > 4 {
+		t.Logf("dim %d partial frame cycle: %.1f allocs, %.0f B (limb window %d B, frame %d B)",
+			tc.dim, avg, perCycle, len(ser.Limbs)*8, frameLen)
+		if avg > 4 {
 			t.Fatalf("dim %d: pooled partial frame cycle allocates %.1f times, budget 4", tc.dim, avg)
-		}
-		if tc.gzip && perCycle >= float64(rawBytes)/4 {
-			t.Fatalf("dim %d: gzipped partial frame cycle allocates %.0f B, budget a quarter of the %d B limb window",
-				tc.dim, perCycle, rawBytes)
 		}
 	}
 }

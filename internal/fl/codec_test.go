@@ -141,7 +141,7 @@ func TestCodecF32Narrowing(t *testing.T) {
 	}
 }
 
-// TestCodecGzipThreshold drives payload sizes straddling gzipThreshold and
+// TestCodecGzipThreshold drives payload sizes straddling compressThreshold and
 // checks the flag byte plus lossless decode on both sides of the boundary.
 func TestCodecGzipThreshold(t *testing.T) {
 	// Inexact values force the 8-byte element path, making the raw payload
@@ -157,9 +157,9 @@ func TestCodecGzipThreshold(t *testing.T) {
 		n    int
 		gzip bool
 	}{
-		{gzipThreshold/8 - 1, false}, // one element below
-		{gzipThreshold / 8, true},    // exactly at the threshold
-		{gzipThreshold/8 + 1, true},  // one above
+		{compressThreshold/8 - 1, false}, // one element below
+		{compressThreshold / 8, true},    // exactly at the threshold
+		{compressThreshold/8 + 1, true},  // one above
 	}
 	for _, tc := range cases {
 		var buf bytes.Buffer
@@ -280,7 +280,7 @@ func TestCodecMalformedFrames(t *testing.T) {
 func TestCodecTruncatedGzip(t *testing.T) {
 	// Inexact values force the 8-byte element path so 8·n crosses the gzip
 	// threshold.
-	params := make([]float64, gzipThreshold/8+64)
+	params := make([]float64, compressThreshold/8+64)
 	for i := range params {
 		params[i] = 0.1 + float64(i%7)
 	}
@@ -307,12 +307,16 @@ func TestCodecTruncatedGzip(t *testing.T) {
 	}
 }
 
-// TestCodecGzipChecksum flips single bits across gzipped payloads: an f64
-// model, whose deflate stream is stored blocks (a flipped data bit leaves the
-// stream well formed, so only gzip's CRC-32 can notice), and a partial
-// frame's Huffman-coded limb window. A flip may land on a bit the format
-// ignores (header timestamp, block padding) and decode unchanged; otherwise
-// it must fail ErrCorruptFrame, never decode to different values.
+// TestCodecGzipChecksum flips single bits across compressed payloads: an
+// f64 model, whose deflate stream is stored blocks (a flipped data bit
+// leaves the stream well formed, so only gzip's CRC-32 can notice), and a
+// partial frame's packed limb window. A model flip may land on a bit the
+// gzip format ignores (header timestamp, block padding) and decode
+// unchanged; otherwise it must fail ErrCorruptFrame, never decode to
+// different values. The packed payload has no ignored bit: every flip,
+// in its limb stream or its CRC, must fail ErrCorruptFrame. Under the race
+// detector, which slows each decode about 25-fold, only every 97th payload
+// byte and the last 12 (the stream's tail and the CRC) get all eight flips.
 func TestCodecGzipChecksum(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	params := make([]float64, 16_672)
@@ -339,21 +343,27 @@ func TestCodecGzipChecksum(t *testing.T) {
 		}
 	}
 
-	pa := bigPartial()
 	buf.Reset()
-	if err := EncodePartialAggregate(&buf, pa); err != nil {
+	if err := EncodePartialAggregate(&buf, bigPartial()); err != nil {
 		t.Fatal(err)
 	}
-	frame = bytes.Clone(buf.Bytes())
+	frame = buf.Bytes()
+	if frame[4]&flagPacked == 0 {
+		t.Fatal("big partial did not take the packed path")
+	}
 	payload = 17 + int(binary.LittleEndian.Uint32(frame[5:9]))
 	var dec PartialAggregate
-	for off := payload; off < len(frame); off += 331 {
-		flipped := bytes.Clone(frame)
-		flipped[off] ^= 0x10
-		if err := DecodePartialAggregateInto(bytes.NewReader(flipped), &dec); err != nil {
-			wantCorruptFrame(t, err, fmt.Sprintf("partial bit flip at %d", off))
-		} else if !reflect.DeepEqual(dec.Sum.Limbs, pa.Sum.Limbs) {
-			t.Fatalf("partial bit flip at %d/%d decoded to different limbs without error", off, len(frame))
+	for off := payload; off < len(frame); off++ {
+		if raceEnabled && (off-payload)%97 != 0 && off < len(frame)-12 {
+			continue
+		}
+		for bit := byte(1); bit != 0; bit <<= 1 {
+			frame[off] ^= bit
+			err := DecodePartialAggregateInto(bytes.NewReader(frame), &dec)
+			frame[off] ^= bit
+			if !errors.Is(err, ErrCorruptFrame) {
+				t.Fatalf("partial bit %#x flipped at %d/%d: err %v, want ErrCorruptFrame", bit, off, len(frame), err)
+			}
 		}
 	}
 }
@@ -406,7 +416,7 @@ func FuzzCodec(f *testing.F) {
 		{1.5},
 		{0.1, 0.2, 0.3},
 		{math.NaN(), math.Inf(1)},
-		make([]float64, gzipThreshold/8+4), // gzip path
+		make([]float64, compressThreshold/8+4), // gzip path
 	}
 	for _, params := range seedVectors {
 		var buf bytes.Buffer
@@ -421,7 +431,7 @@ func FuzzCodec(f *testing.F) {
 	// flips of otherwise valid frames, steering the fuzzer toward the
 	// corruption-detection paths the chaos harness depends on.
 	{
-		big := make([]float64, gzipThreshold/8+16)
+		big := make([]float64, compressThreshold/8+16)
 		for i := range big {
 			big[i] = 0.1 + float64(i%5) // inexact → 8-byte path → gzip frame
 		}
@@ -443,7 +453,7 @@ func FuzzCodec(f *testing.F) {
 	// plus truncations and bit flips landing inside the aux section, steering
 	// the fuzzer at the second vector section's structural checks.
 	{
-		bigAux := make([]float64, gzipThreshold/8+16)
+		bigAux := make([]float64, compressThreshold/8+16)
 		for i := range bigAux {
 			bigAux[i] = 0.1 + float64(i%7)
 		}
@@ -476,6 +486,7 @@ func FuzzCodec(f *testing.F) {
 		_, _, _, frames := defaultLevelFrames(f)
 		f.Add(frames[0]) // request with an aux section
 		f.Add(frames[1]) // response, parsed as a request
+		f.Add(frames[2]) // gzipped partial, which a round decoder rejects
 	}
 	// Hostile trace-context seeds: the codec is deliberately faithful to
 	// whatever trace strings were framed (sanitization is the HTTP handler's
@@ -538,7 +549,7 @@ func auxRequest(params, aux []float64) RoundRequest {
 // every encoder path — f64, f32-narrowed, gzip-compressed, specials — and
 // checks the aux vector and the new meta fields survive bit for bit.
 func TestCodecAuxRoundTrip(t *testing.T) {
-	big := make([]float64, gzipThreshold/8+32)
+	big := make([]float64, compressThreshold/8+32)
 	for i := range big {
 		big[i] = 0.1 + float64(i%9)
 	}
@@ -670,9 +681,43 @@ func TestCodecAuxMalformed(t *testing.T) {
 	})
 }
 
-// regzipFrame re-deflates every gzip section of an encoded BFL1 frame (round
-// or partial) at the given level and fixes up the section lengths: the frame
-// a peer compressing at that level sends for the same values.
+// gzipBytes deflates raw at the given level.
+func gzipBytes(tb testing.TB, raw []byte, level int) []byte {
+	tb.Helper()
+	var comp bytes.Buffer
+	zw, err := gzip.NewWriterLevel(&comp, level)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := zw.Write(raw); err != nil {
+		tb.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return comp.Bytes()
+}
+
+// gzipPartialFrame is pa as a partial frame whose raw limbs are deflated at
+// the given level under flagLimbs|flagGzip: the form a large window took
+// before packing replaced deflate, which the decoder now rejects.
+func gzipPartialFrame(tb testing.TB, pa PartialAggregate, level int) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := EncodePartialAggregate(&buf, pa); err != nil {
+		tb.Fatal(err)
+	}
+	raw := make([]byte, 0, 8*len(pa.Sum.Limbs))
+	for _, l := range pa.Sum.Limbs {
+		raw = binary.LittleEndian.AppendUint64(raw, l)
+	}
+	comp := gzipBytes(tb, raw, level)
+	return reframe(buf.Bytes(), flagLimbs|flagGzip, uint32(len(pa.Sum.Limbs)), uint32(len(comp)), comp)
+}
+
+// regzipFrame re-deflates every gzip section of an encoded round frame at the
+// given level and fixes up the section lengths: the frame a peer compressing
+// at that level sends for the same values.
 func regzipFrame(tb testing.TB, frame []byte, level int) []byte {
 	tb.Helper()
 	metaLen := int(binary.LittleEndian.Uint32(frame[5:9]))
@@ -690,18 +735,7 @@ func regzipFrame(tb testing.TB, frame []byte, level int) []byte {
 			if err != nil {
 				tb.Fatal(err)
 			}
-			var comp bytes.Buffer
-			zw, err := gzip.NewWriterLevel(&comp, level)
-			if err != nil {
-				tb.Fatal(err)
-			}
-			if _, err := zw.Write(raw); err != nil {
-				tb.Fatal(err)
-			}
-			if err := zw.Close(); err != nil {
-				tb.Fatal(err)
-			}
-			payload = comp.Bytes()
+			payload = gzipBytes(tb, raw, level)
 		}
 		out = append(out, rest[:4]...) // count
 		out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
@@ -719,10 +753,12 @@ func regzipFrame(tb testing.TB, frame []byte, level int) []byte {
 }
 
 // defaultLevelFrames encodes a round request (f64 model plus a SCAFFOLD aux
-// vector), a round response (float32-valued weights) and a partial frame
-// (limb window with specials), all above gzipThreshold, then re-deflates each
-// at gzip.DefaultCompression — the level the encoder used before it moved to
-// BestSpeed, and the one older peers still send.
+// vector) and a round response (float32-valued weights), both above
+// compressThreshold, and re-deflates each at gzip.DefaultCompression — the
+// level the encoder used before it moved to BestSpeed, and the one older
+// peers still send. The third frame is a partial (limb window with
+// specials) with its raw limbs deflated at that level, as partial frames
+// were before packing replaced deflate.
 func defaultLevelFrames(tb testing.TB) (req RoundRequest, resp RoundResponse, pa PartialAggregate, frames [3][]byte) {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(5))
@@ -730,7 +766,7 @@ func defaultLevelFrames(tb testing.TB) (req RoundRequest, resp RoundResponse, pa
 	for i := range model {
 		model[i] = rng.NormFloat64() * 0.05
 	}
-	aux := make([]float64, gzipThreshold/8+32)
+	aux := make([]float64, compressThreshold/8+32)
 	for i := range aux {
 		aux[i] = 0.1 + float64(i%9)
 	}
@@ -743,17 +779,14 @@ func defaultLevelFrames(tb testing.TB) (req RoundRequest, resp RoundResponse, pa
 	resp.Steps = 13
 	pa = bigPartial()
 
-	var bufs [3]bytes.Buffer
+	var bufs [2]bytes.Buffer
 	if err := EncodeRoundRequest(&bufs[0], req); err != nil {
 		tb.Fatal(err)
 	}
 	if err := EncodeRoundResponse(&bufs[1], resp); err != nil {
 		tb.Fatal(err)
 	}
-	if err := EncodePartialAggregate(&bufs[2], pa); err != nil {
-		tb.Fatal(err)
-	}
-	for i := range bufs {
+	for i := range bufs[:2] {
 		frame := bufs[i].Bytes()
 		if frame[4]&flagGzip == 0 {
 			tb.Fatalf("frame %d did not take the gzip path", i)
@@ -763,13 +796,15 @@ func defaultLevelFrames(tb testing.TB) (req RoundRequest, resp RoundResponse, pa
 			tb.Fatalf("frame %d: default-level stream equals the BestSpeed one", i)
 		}
 	}
+	frames[2] = gzipPartialFrame(tb, pa, gzip.DefaultCompression)
 	return req, resp, pa, frames
 }
 
-// TestCodecDecodesDefaultLevelFrames pins decoding of frames deflated at
-// gzip.DefaultCompression: the level is the encoder's choice alone, so the
-// decoders must return params, limbs and meta bit-identical to what the
-// older peer framed.
+// TestCodecDecodesDefaultLevelFrames pins decoding of round frames deflated
+// at gzip.DefaultCompression: the level is the encoder's choice alone, so the
+// decoders must return params and meta bit-identical to what the older peer
+// framed. A gzipped partial frame is refused: no encoder emits one, and a
+// partial payload is raw or packed.
 func TestCodecDecodesDefaultLevelFrames(t *testing.T) {
 	req, resp, pa, frames := defaultLevelFrames(t)
 
@@ -797,13 +832,8 @@ func TestCodecDecodesDefaultLevelFrames(t *testing.T) {
 		t.Errorf("response meta: %+v, want %+v", gotResp, resp)
 	}
 
-	var gotPA PartialAggregate
-	if err := DecodePartialAggregateInto(bytes.NewReader(frames[2]), &gotPA); err != nil {
-		t.Fatalf("partial: %v", err)
-	}
-	if !reflect.DeepEqual(gotPA, pa) {
-		t.Errorf("partial: decoded frame differs (window [%d, %d) vs [%d, %d))",
-			gotPA.Sum.Lo, gotPA.Sum.Hi, pa.Sum.Lo, pa.Sum.Hi)
+	if _, err := DecodePartialAggregate(bytes.NewReader(frames[2])); !errors.Is(err, ErrCorruptFrame) {
+		t.Fatalf("gzipped partial of %d limbs: err %v, want ErrCorruptFrame", len(pa.Sum.Limbs), err)
 	}
 }
 

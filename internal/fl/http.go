@@ -41,7 +41,10 @@ type InfoResponse struct {
 // maxControlBody caps every JSON body the control plane reads: a check-in
 // request, a check-in ack and a daemon's /v1/info. A check-in names the URL
 // the server dials back, so without the cap any peer that can check in could
-// make the server decode an unbounded body from a host of its choosing.
+// make the server decode an unbounded body from a host of its choosing. Each
+// read goes through http.MaxBytesReader, so a body over the cap fails with
+// *http.MaxBytesError, told apart from a peer that hung up mid-body
+// (io.ErrUnexpectedEOF).
 const maxControlBody = 1 << 20
 
 // flTransport is the process-wide HTTP transport shared by every
@@ -270,7 +273,7 @@ func dialParticipant(ctx context.Context, baseURL string, timeout time.Duration)
 		return nil, fmt.Errorf("fl: dial %s: status %s", baseURL, resp.Status)
 	}
 	var info InfoResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxControlBody)).Decode(&info); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(nil, resp.Body, maxControlBody)).Decode(&info); err != nil {
 		return nil, fmt.Errorf("fl: dial %s: %w", baseURL, err)
 	}
 	if info.ClientID == "" || info.TMinPerJob <= 0 {

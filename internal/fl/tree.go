@@ -19,10 +19,12 @@ package fl
 // decoded frame — and the codec tests and FuzzPartialAggregate hold that
 // decode(encode(x)) == x. Each close encodes its frame all the same, into a
 // writer that keeps only its length: the frame's size is the wire traffic
-// the ledger journals per tier, and deflate's output size cannot be known
-// without running it. Nothing parses the bytes back. The close runs on
-// pooled state (the serialize target and the encoder's scratch buffers and
-// gzip writers), so in steady state it allocates nothing, gzipped or not.
+// the ledger journals per tier, and running the one encoder is what keeps
+// that count equal to the bytes a distributed tier would ship. Nothing
+// parses the bytes back. A large window packs at memory speed
+// (codec_partial.go), and the close runs on pooled state (the serialize
+// target and the encoder's scratch buffers), so in steady state it
+// allocates nothing, raw or packed.
 //
 // A spine may cover part of a tree: it starts at an absolute leaf, takes its
 // inputs at a base tier — leaves at tier 0, or child partials above it — and

@@ -51,11 +51,13 @@ func requireSameSum(t *testing.T, label string, got, want exact.Serialized) {
 // feed the wire path's parent, so a merge that drops weight, survivors or
 // limbs shows up at the parent's close; Root must equal the wire path's
 // root, and Partial the decoded top frame. Fanouts 2, 3 and 64, tier quorum
-// 0 and 0.5, dims below and above gzipThreshold, dropouts, specials and an
-// all-zero group, over two rounds on one reused spine.
+// 0 and 0.5, dims below and above compressThreshold (raw and packed limb
+// payloads), dropouts, specials and an all-zero group, over two rounds on
+// one reused spine.
 func TestTreeMergeMatchesDecodedFrames(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261018))
-	// Dim 3,000 makes a three-plane window 72 kB, past gzipThreshold.
+	// Dim 3,000 makes a three-plane window 72 kB, past compressThreshold, so
+	// those frames ship packed.
 	for _, dim := range []int{96, 3_000} {
 		for _, fanout := range []int{2, 3, 64} {
 			for _, quorum := range []float64{0, 0.5} {
@@ -87,7 +89,7 @@ func checkTreeMerge(t *testing.T, rng *rand.Rand, dim, n, fanout int, quorum flo
 		tc       obs.TraceContext
 		topFrame PartialAggregate
 		partials int
-		gzipped  bool
+		packed   bool
 	)
 	journal := func(ev ledger.Event) {
 		switch ev.Kind {
@@ -114,7 +116,11 @@ func checkTreeMerge(t *testing.T, rng *rand.Rand, dim, n, fanout int, quorum flo
 			if int64(buf.Len()) != ev.WireTxBytes {
 				t.Fatalf("%s: frame is %d bytes, event reports %d", label, buf.Len(), ev.WireTxBytes)
 			}
-			gzipped = gzipped || buf.Bytes()[4]&flagGzip != 0
+			isPacked := buf.Bytes()[4]&flagPacked != 0
+			if wantPacked := len(sent.Sum.Limbs)*8 >= compressThreshold; isPacked != wantPacked {
+				t.Fatalf("%s: packed flag %v for a %d-limb window, want %v", label, isPacked, len(sent.Sum.Limbs), wantPacked)
+			}
+			packed = packed || isPacked
 			dec, err := DecodePartialAggregate(&buf)
 			if err != nil {
 				t.Fatal(err)
@@ -200,7 +206,7 @@ func checkTreeMerge(t *testing.T, rng *rand.Rand, dim, n, fanout int, quorum flo
 	if partials == 0 {
 		t.Fatal("no partial frames shipped")
 	}
-	if wantGzip := dim*8*3 >= gzipThreshold; gzipped != wantGzip {
-		t.Fatalf("gzipped frames %v, want %v", gzipped, wantGzip)
+	if wantPacked := dim*8*3 >= compressThreshold; packed != wantPacked {
+		t.Fatalf("packed frames %v, want %v", packed, wantPacked)
 	}
 }
