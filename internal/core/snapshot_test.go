@@ -266,3 +266,51 @@ func TestRestoreRejectsDuplicateObservation(t *testing.T) {
 		t.Fatal("snapshot with a duplicated observation accepted")
 	}
 }
+
+// FuzzReadSnapshot feeds arbitrary bytes to ReadSnapshot on a fresh
+// controller over smallSpace(). It must never panic. When a restore
+// succeeds, the snapshot the controller then writes must read back and
+// write out byte-identical, and two RunRound/BetweenRounds cycles must not
+// panic; they may fail, since a hostile snapshot can leave nothing to run.
+// The seed corpus in testdata/fuzz/FuzzReadSnapshot holds a 15-round
+// snapshot, bare and minimal ones, and one input per rejection in Restore.
+func FuzzReadSnapshot(f *testing.F) {
+	space := smallSpace()
+	dev := device.JetsonAGX()
+	xmaxLat, err := dev.Latency(device.ViT, space.Max())
+	if err != nil {
+		f.Fatal(err)
+	}
+	fresh := func(t *testing.T) *Controller {
+		c, err := New(space, Options{Seed: 9, Tau: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := fresh(t)
+		if c.ReadSnapshot(bytes.NewReader(data)) != nil {
+			return
+		}
+		var written, again bytes.Buffer
+		if err := c.WriteSnapshot(&written); err != nil {
+			t.Fatal(err)
+		}
+		reread := fresh(t)
+		if err := reread.ReadSnapshot(bytes.NewReader(written.Bytes())); err != nil {
+			t.Fatalf("a written snapshot does not read back: %v\n%s", err, written.Bytes())
+		}
+		if err := reread.WriteSnapshot(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(written.Bytes(), again.Bytes()) {
+			t.Fatalf("snapshot changed through a write and read:\n%s\nthen\n%s", written.Bytes(), again.Bytes())
+		}
+		exec := newSimExec(t, dev, device.ViT, 1)
+		for range 2 {
+			c.RunRound(10, xmaxLat*10*2, exec)
+			c.BetweenRounds()
+		}
+	})
+}

@@ -8,47 +8,41 @@ package fl
 //
 //	offset  size  field
 //	0       4     magic "BFL1" (version is part of the magic)
-//	4       1     flags: bit0 payload gzipped, bit1 float32-narrowed,
-//	              bit3 aux vector section present (bits 2 and 4 mark
-//	              partial-aggregate frames, codec_partial.go, which the
-//	              round decoders reject)
+//	4       1     flags: bit1 float32-narrowed, bit3 aux vector section
+//	              present; any other bit fails the decode (bits 2 and 4
+//	              mark partial-aggregate frames, codec_partial.go)
 //	5       4     uint32 LE: metadata length M
 //	9       M     metadata (JSON: everything except Params)
 //	9+M     4     uint32 LE: parameter count N
 //	13+M    4     uint32 LE: payload length P in bytes
 //	17+M    P     parameter payload, little-endian IEEE-754
+//	then    4     uint32 LE: CRC-32 (IEEE) of every byte before it
 //
 // With flags bit3 set, a second self-describing vector section follows the
-// parameter payload — the algorithm auxiliary vector (SCAFFOLD control
-// variates): 1 byte of section flags (gzip/f32 only), then the same
-// count/length/payload triplet. Aux-less frames are byte-identical to the
-// pre-aux format.
+// parameter payload, before the CRC — the algorithm auxiliary vector
+// (SCAFFOLD control variates): 1 byte of section flags (f32 only), then the
+// same count/length/payload triplet.
 //
-// Two payload transforms, both lossless and both negotiated per frame by the
-// encoder alone (the flags tell the decoder everything):
+// Payloads are raw, with one lossless transform the encoder chooses per
+// section and declares in its flags: float32 narrowing, when every value is
+// exactly representable as a float32. Widening on decode reproduces the
+// input bit for bit. Nothing is compressed: internal/ml trains in float64,
+// and deflate shrinks such weights by nothing (DESIGN §7).
 //
-//   - float32 narrowing: when every parameter is exactly representable as a
-//     float32 — the common case for models trained in single precision and
-//     shipped through a float64 API — values are stored as 4-byte floats.
-//     Widening on decode reproduces the input bit-for-bit.
-//   - gzip: parameter payloads at or above compressThreshold are compressed at
-//     gzip.BestSpeed (flate's fast encoder). Model deltas with structure
-//     (zero runs, repeated exponents) shrink further; where entropy coding
-//     saves too little — fully random mantissas — the encoder falls back to
-//     stored blocks, which cost a few framing bytes and inflate as a plain
-//     copy. The level is the encoder's choice alone: frames deflated at any
-//     level, such as the default level older peers send, decode unchanged.
-//
-// Frames are self-describing, so any peer decodes any frame an encoder
-// produces. They are the only encoding of /v1/round bodies (http.go).
+// The CRC trailer is the frame's one integrity check, at every size: the
+// decoder checks it before it returns, so any single-bit flip anywhere in a
+// frame, metadata and length fields included, fails ErrCorruptFrame instead
+// of decoding to different values. Frames are self-describing, so any peer
+// decodes any frame an encoder produces. They are the only encoding of
+// /v1/round bodies (http.go), one frame per body.
 
 import (
 	"bytes"
-	"compress/gzip"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"slices"
@@ -73,28 +67,21 @@ const (
 var frameMagic = [4]byte{'B', 'F', 'L', '1'}
 
 // ErrCorruptFrame tags every structural decode failure — truncation, bad
-// magic, unknown flags, length-field lies, gzip or packed-payload damage,
-// garbled metadata. The serving plane's quarantine path matches it with
-// errors.Is to tell a client shipping damaged frames apart from a client
-// that merely timed out, so the decoder must never surface a raw io or gzip
-// error for hostile input.
+// magic, unknown flags, length-field lies, a CRC mismatch, packed-payload
+// damage, garbled metadata, bytes after the frame. The serving plane's
+// quarantine path matches it with errors.Is to tell a client shipping
+// damaged frames apart from a client that merely timed out, so the decoder
+// must never surface a raw io error for hostile input.
 var ErrCorruptFrame = errors.New("fl: corrupt frame")
 
 const (
-	flagGzip byte = 1 << 0 // payload section is gzip-compressed
-	flagF32  byte = 1 << 1 // parameters stored as float32 (exact)
+	flagF32 byte = 1 << 1 // parameters stored as float32 (exact)
 	// flagAux marks a frame carrying a second vector section after the
 	// parameter payload — the algorithm auxiliary vector (SCAFFOLD control
 	// variates). The section is self-describing: a 1-byte section flag
-	// (gzip/f32, negotiated independently of the main payload) followed by
-	// the same count/length/payload layout.
+	// (f32, chosen independently of the main payload) followed by the same
+	// count/length/payload layout.
 	flagAux byte = 1 << 3
-
-	// compressThreshold is the raw payload size in bytes at which the
-	// encoders compress: gzip for a parameter payload, packing for a partial
-	// frame's limb window (codec_partial.go). Below it the framing and the
-	// CPU cost outweigh any win on small vectors.
-	compressThreshold = 64 << 10
 
 	// Decoder sanity caps: a frame that claims more is rejected before any
 	// allocation, so truncated or hostile inputs cannot balloon memory.
@@ -185,18 +172,6 @@ func putVec(v []float64) {
 	}
 }
 
-// gzipLevel is the deflate level of every frame payload. BestSpeed beats the
-// default level on every payload the data plane ships: a sixth of the encode
-// time for a few percent of bytes (DESIGN §7), so it is not a knob.
-const gzipLevel = gzip.BestSpeed
-
-var gzipWriterPool = sync.Pool{New: func() any {
-	zw, _ := gzip.NewWriterLevel(io.Discard, gzipLevel) // a valid level never errors
-	return zw
-}}
-
-var gzipReaderPool = sync.Pool{New: func() any { return new(gzip.Reader) }}
-
 // f32Exact reports whether every parameter survives a round trip through
 // float32 unchanged (NaNs never do, so they keep the 8-byte path and their
 // payload bits).
@@ -212,118 +187,89 @@ func f32Exact(params []float64) bool {
 	return true
 }
 
-// stageVec encodes one vector section into its wire form: the section flags
-// (f32 narrowing, gzip) and the staged payload bytes. release returns the
-// pooled scratch backing payload; callers must not touch payload after it.
-func stageVec(vec []float64) (flags byte, payload []byte, release func(), err error) {
+// stageVec encodes one vector section's payload into pooled scratch, which
+// the caller hands back with putBytes once it is written, and returns the
+// section flags: flagF32 when every value narrows to float32 exactly.
+func stageVec(vec []float64) (flags byte, payload *[]byte) {
 	elem := 8
 	if f32Exact(vec) {
-		flags |= flagF32
+		flags = flagF32
 		elem = 4
 	}
-	raw := getBytes(len(vec) * elem)
+	payload = getBytes(len(vec) * elem)
 	if elem == 4 {
 		for i, v := range vec {
-			binary.LittleEndian.PutUint32((*raw)[i*4:], math.Float32bits(float32(v)))
+			binary.LittleEndian.PutUint32((*payload)[i*4:], math.Float32bits(float32(v)))
 		}
 	} else {
 		for i, v := range vec {
-			binary.LittleEndian.PutUint64((*raw)[i*8:], math.Float64bits(v))
+			binary.LittleEndian.PutUint64((*payload)[i*8:], math.Float64bits(v))
 		}
 	}
-	payload = *raw
-	if len(payload) >= compressThreshold {
-		comp, err := deflate(payload)
-		if err != nil {
-			putBytes(raw)
-			return 0, nil, func() {}, fmt.Errorf("fl: gzip frame payload: %w", err)
-		}
-		flags |= flagGzip
-		payload = comp.Bytes()
-		return flags, payload, func() { putBuf(comp); putBytes(raw) }, nil
-	}
-	return flags, payload, func() { putBytes(raw) }, nil
+	return flags, payload
 }
 
-// deflate gzips payload at gzipLevel into a pooled buffer the caller returns
-// with putBuf.
-func deflate(payload []byte) (*bytes.Buffer, error) {
-	comp := getBuf()
-	zw := gzipWriterPool.Get().(*gzip.Writer)
-	zw.Reset(comp)
-	_, werr := zw.Write(payload)
-	cerr := zw.Close()
-	gzipWriterPool.Put(zw)
-	if err := firstErr(werr, cerr); err != nil {
-		putBuf(comp)
-		return nil, err
-	}
-	return comp, nil
+// frameWriter writes a round frame's pieces to w, folding each into the
+// CRC-32 the frame ends with, and keeps the first write error.
+type frameWriter struct {
+	w   io.Writer
+	crc uint32
+	err error
 }
 
-// writeVecSection writes a staged vector section: count, payload length,
-// payload. scratch must have ≥ 8 bytes for the two length fields.
-func writeVecSection(w io.Writer, scratch []byte, count int, payload []byte) error {
+func (f *frameWriter) write(b []byte) {
+	if f.err == nil {
+		f.crc = crc32.Update(f.crc, crc32.IEEETable, b)
+		_, f.err = f.w.Write(b)
+	}
+}
+
+// section writes a staged vector section: count, payload length, payload.
+// scratch must have ≥ 8 bytes for the two length fields.
+func (f *frameWriter) section(scratch []byte, count int, payload []byte) {
 	binary.LittleEndian.PutUint32(scratch[:4], uint32(count))
 	binary.LittleEndian.PutUint32(scratch[4:8], uint32(len(payload)))
-	if _, err := w.Write(scratch[:8]); err != nil {
-		return fmt.Errorf("fl: write frame header: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("fl: write frame payload: %w", err)
-	}
-	return nil
+	f.write(scratch[:8])
+	f.write(payload)
 }
 
 // encodeFrame writes one frame carrying meta, params and an optional aux
-// vector to w. Aux-less frames are byte-identical to the pre-aux format.
+// vector to w, then the CRC-32 of those bytes.
 func encodeFrame(w io.Writer, meta any, params, aux []float64) error {
-	mb, err := json.Marshal(meta)
+	mb, err := jsonMarshalMeta(meta)
 	if err != nil {
-		return fmt.Errorf("fl: encode frame meta: %w", err)
-	}
-	if len(mb) > maxMetaBytes {
-		return fmt.Errorf("fl: frame meta %d bytes exceeds %d", len(mb), maxMetaBytes)
+		return err
 	}
 	if len(params) > maxFrameParams || len(aux) > maxFrameParams {
 		return fmt.Errorf("fl: %d params exceed frame limit %d", max(len(params), len(aux)), maxFrameParams)
 	}
 
-	flags, payload, release, err := stageVec(params)
-	defer release()
-	if err != nil {
-		return err
-	}
+	flags, payload := stageVec(params)
+	defer putBytes(payload)
 	if len(aux) > 0 {
 		flags |= flagAux
 	}
-
 	var hdr [17]byte
 	copy(hdr[:4], frameMagic[:])
 	hdr[4] = flags
 	binary.LittleEndian.PutUint32(hdr[5:9], uint32(len(mb)))
-	if _, err := w.Write(hdr[:9]); err != nil {
-		return fmt.Errorf("fl: write frame header: %w", err)
+	fw := frameWriter{w: w}
+	fw.write(hdr[:9])
+	fw.write(mb)
+	fw.section(hdr[9:17], len(params), *payload)
+	if len(aux) > 0 {
+		aflags, apayload := stageVec(aux)
+		defer putBytes(apayload)
+		hdr[8] = aflags
+		fw.write(hdr[8:9])
+		fw.section(hdr[9:17], len(aux), *apayload)
 	}
-	if _, err := w.Write(mb); err != nil {
-		return fmt.Errorf("fl: write frame meta: %w", err)
+	binary.LittleEndian.PutUint32(hdr[:4], fw.crc) // the trailer
+	fw.write(hdr[:4])
+	if fw.err != nil {
+		return fmt.Errorf("fl: write frame: %w", fw.err)
 	}
-	if err := writeVecSection(w, hdr[9:17], len(params), payload); err != nil {
-		return err
-	}
-	if flags&flagAux == 0 {
-		return nil
-	}
-	aflags, apayload, arelease, err := stageVec(aux)
-	defer arelease()
-	if err != nil {
-		return err
-	}
-	hdr[8] = aflags
-	if _, err := w.Write(hdr[8:9]); err != nil {
-		return fmt.Errorf("fl: write frame header: %w", err)
-	}
-	return writeVecSection(w, hdr[9:17], len(aux), apayload)
+	return nil
 }
 
 // jsonMarshalMeta marshals a frame metadata section with the size cap applied.
@@ -344,14 +290,6 @@ func jsonUnmarshalMeta(b []byte, meta any) error {
 		return fmt.Errorf("%w: decode meta: %w", ErrCorruptFrame, err)
 	}
 	return nil
-}
-
-// firstErr returns the first non-nil error (helper for the two-error gzip close).
-func firstErr(a, b error) error {
-	if a != nil {
-		return a
-	}
-	return b
 }
 
 // readGrow reads exactly n bytes from r into the pooled slice *p and returns
@@ -383,54 +321,17 @@ func readGrow(r io.Reader, p *[]byte, n int) ([]byte, error) {
 // so its first allocation when the pooled slice is empty.
 const minReadGrow = 32 << 10
 
-// inflate gunzips src into the pooled slice *dst, which must come out at
-// exactly n bytes, and returns the inflated bytes. Truncated or bit-flipped
-// streams surface as gzip header, short-inflate or checksum errors, all
-// wrapped in ErrCorruptFrame so the quarantine path can count them.
-func inflate(src []byte, dst *[]byte, n int) ([]byte, error) {
-	zr := gzipReaderPool.Get().(*gzip.Reader)
-	defer gzipReaderPool.Put(zr)
-	if err := zr.Reset(bytes.NewReader(src)); err != nil {
-		return nil, fmt.Errorf("%w: gzip payload: %w", ErrCorruptFrame, err)
-	}
-	raw, err := readGrow(zr, dst, n)
-	if err != nil {
-		return nil, fmt.Errorf("%w: inflate payload: %w", ErrCorruptFrame, err)
-	}
-	// The stream must end here, and its checksum must hold. The reader's
-	// error is sticky, so a checksum failure returned with the last bytes
-	// surfaces again on this read.
-	var one [1]byte
-	if m, err := zr.Read(one[:]); m != 0 {
-		return nil, fmt.Errorf("%w: payload inflates past %d declared bytes", ErrCorruptFrame, n)
-	} else if err != io.EOF {
-		return nil, fmt.Errorf("%w: inflate payload: %w", ErrCorruptFrame, err)
-	}
-	return raw, nil
+// crcReader folds every byte read through it into a running CRC-32 (IEEE),
+// which decodeFrame checks against the frame's trailer.
+type crcReader struct {
+	r   io.Reader
+	crc uint32
 }
 
-// readPayload reads a vector section's payloadLen wire bytes into the pooled
-// slice *wire and returns the rawLen raw bytes they carry: the wire bytes
-// themselves, or for a gzip section their inflation into *inflated. The
-// caller releases both slices once it is done with the result.
-func readPayload(r io.Reader, gz bool, payloadLen uint32, rawLen int, wire, inflated *[]byte) ([]byte, error) {
-	if !gz {
-		if int(payloadLen) != rawLen {
-			return nil, fmt.Errorf("%w: payload %d bytes, want %d", ErrCorruptFrame, payloadLen, rawLen)
-		}
-	} else if int64(payloadLen) > int64(rawLen)+(64<<10) {
-		// gzip never expands beyond a small framing overhead; anything
-		// bigger is a length-field lie.
-		return nil, fmt.Errorf("%w: gzip payload %d bytes for %d raw", ErrCorruptFrame, payloadLen, rawLen)
-	}
-	raw, err := readGrow(r, wire, int(payloadLen))
-	if err != nil {
-		return nil, fmt.Errorf("%w: read payload: %w", ErrCorruptFrame, err)
-	}
-	if gz {
-		return inflate(raw, inflated, rawLen)
-	}
-	return raw, nil
+func (c *crcReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.crc = crc32.Update(c.crc, crc32.IEEETable, p[:n])
+	return n, err
 }
 
 // readVec reads one vector section (count, payload length, payload) under
@@ -446,16 +347,18 @@ func readVec(r io.Reader, flags byte) ([]float64, error) {
 	if count > maxFrameParams {
 		return nil, fmt.Errorf("%w: claims %d params, limit %d", ErrCorruptFrame, count, maxFrameParams)
 	}
-	elem := 8
+	elem := uint32(8)
 	if flags&flagF32 != 0 {
 		elem = 4
 	}
-	wire, inflated := bytesPool.Get().(*[]byte), bytesPool.Get().(*[]byte)
+	if payloadLen != count*elem {
+		return nil, fmt.Errorf("%w: payload %d bytes, want %d", ErrCorruptFrame, payloadLen, count*elem)
+	}
+	wire := bytesPool.Get().(*[]byte)
 	defer putBytes(wire)
-	defer putBytes(inflated)
-	raw, err := readPayload(r, flags&flagGzip != 0, payloadLen, int(count)*elem, wire, inflated)
+	raw, err := readGrow(r, wire, int(payloadLen))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: read payload: %w", ErrCorruptFrame, err)
 	}
 
 	out := getVec(int(count))
@@ -473,18 +376,20 @@ func readVec(r io.Reader, flags byte) ([]float64, error) {
 
 // decodeFrame reads one frame from r, unmarshals the metadata into meta and
 // returns the parameter vector plus the aux vector (nil unless the frame set
-// flagAux). Truncated, oversized or malformed frames return an error
+// flagAux). It checks the CRC trailer before it parses the metadata or
+// returns. Truncated, oversized, malformed or damaged frames return an error
 // wrapping ErrCorruptFrame; decodeFrame never panics on hostile input.
 func decodeFrame(r io.Reader, meta any) ([]float64, []float64, error) {
+	cr := &crcReader{r: r}
 	var hdr [9]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(cr, hdr[:]); err != nil {
 		return nil, nil, fmt.Errorf("%w: read header: %w", ErrCorruptFrame, err)
 	}
 	if !bytes.Equal(hdr[:4], frameMagic[:]) {
 		return nil, nil, fmt.Errorf("%w: bad magic %q", ErrCorruptFrame, hdr[:4])
 	}
 	flags := hdr[4]
-	if flags&^(flagGzip|flagF32|flagAux) != 0 {
+	if flags&^(flagF32|flagAux) != 0 {
 		return nil, nil, fmt.Errorf("%w: unknown flags %#x", ErrCorruptFrame, flags)
 	}
 	metaLen := binary.LittleEndian.Uint32(hdr[5:9])
@@ -493,30 +398,36 @@ func decodeFrame(r io.Reader, meta any) ([]float64, []float64, error) {
 	}
 	mbp := bytesPool.Get().(*[]byte)
 	defer putBytes(mbp)
-	mb, err := readGrow(r, mbp, int(metaLen))
+	mb, err := readGrow(cr, mbp, int(metaLen))
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: read meta: %w", ErrCorruptFrame, err)
 	}
-	if err := json.Unmarshal(mb, meta); err != nil {
-		return nil, nil, fmt.Errorf("%w: decode meta: %w", ErrCorruptFrame, err)
-	}
 
-	params, err := readVec(r, flags)
+	params, err := readVec(cr, flags)
 	if err != nil {
 		return nil, nil, err
 	}
 	var aux []float64
 	if flags&flagAux != 0 {
-		var ab [1]byte
-		if _, err := io.ReadFull(r, ab[:]); err != nil {
+		if _, err := io.ReadFull(cr, hdr[:1]); err != nil {
 			return nil, nil, fmt.Errorf("%w: read aux header: %w", ErrCorruptFrame, err)
 		}
-		if ab[0]&^(flagGzip|flagF32) != 0 {
-			return nil, nil, fmt.Errorf("%w: unknown aux flags %#x", ErrCorruptFrame, ab[0])
+		if hdr[0]&^flagF32 != 0 {
+			return nil, nil, fmt.Errorf("%w: unknown aux flags %#x", ErrCorruptFrame, hdr[0])
 		}
-		if aux, err = readVec(r, ab[0]); err != nil {
+		if aux, err = readVec(cr, hdr[0]); err != nil {
 			return nil, nil, err
 		}
+	}
+	// The trailer is read past cr, so cr.crc covers every byte before it.
+	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
+		return nil, nil, fmt.Errorf("%w: read CRC: %w", ErrCorruptFrame, err)
+	}
+	if binary.LittleEndian.Uint32(hdr[:4]) != cr.crc {
+		return nil, nil, fmt.Errorf("%w: frame CRC mismatch", ErrCorruptFrame)
+	}
+	if err := jsonUnmarshalMeta(mb, meta); err != nil {
+		return nil, nil, err
 	}
 	return params, aux, nil
 }

@@ -14,7 +14,7 @@ package fl
 // The limb payload takes one of two forms, told apart by flagPacked:
 //
 //   - raw: count little-endian uint64 limbs, for windows whose raw size is
-//     below compressThreshold (every fleet close);
+//     below packThreshold (every fleet close);
 //   - packed (flagPacked): each non-zero limb as the uvarint of its zigzag
 //     image, each run of k zero limbs as a 0x00 byte and uvarint(k−1), then
 //     a 4-byte LE CRC-32 (IEEE) of those bytes. No non-zero limb's uvarint
@@ -24,7 +24,8 @@ package fl
 //     round-http's windows a packed frame is about 5% larger than a
 //     deflated one for a thirteenth of the CPU (DESIGN §7).
 //
-// Partial frames are never gzipped, and the decoder rejects flagGzip on one.
+// Partial frames carry no frame CRC (a packed payload has its own), and the
+// decoder rejects every other flag bit.
 
 import (
 	"bytes"
@@ -45,6 +46,11 @@ const (
 	// flagPacked marks a packed limb payload (zigzag uvarints, zero runs,
 	// CRC-32); valid only beside flagLimbs.
 	flagPacked byte = 1 << 4
+
+	// packThreshold is the raw limb window size in bytes at which the
+	// encoder packs. Smaller windows, every fleet close (8.2 kB at dim 256)
+	// among them, ship raw.
+	packThreshold = 64 << 10
 
 	// maxPackedLimb is the most bytes one packed limb costs: a non-zero
 	// limb's uvarint takes at most 10, a run of k zero limbs 1+uvarint(k−1)
@@ -93,7 +99,7 @@ type partialMeta struct {
 }
 
 // EncodePartialAggregate writes pa to w as one BFL1 frame with the limbs flag
-// set. A window whose raw limbs reach compressThreshold is packed.
+// set. A window whose raw limbs reach packThreshold is packed.
 func EncodePartialAggregate(w io.Writer, pa PartialAggregate) error {
 	meta := partialMeta{
 		Round: pa.Round, Tier: pa.Tier, Node: pa.Node,
@@ -121,7 +127,7 @@ func EncodePartialAggregate(w io.Writer, pa PartialAggregate) error {
 	}
 	flags := flagLimbs
 	var payload []byte
-	if n := len(pa.Sum.Limbs); n*8 >= compressThreshold {
+	if n := len(pa.Sum.Limbs); n*8 >= packThreshold {
 		flags |= flagPacked
 		pp := getBytes(maxPackedLimb*n + 4)
 		defer putBytes(pp)

@@ -102,7 +102,7 @@ func metaEqual(a, b partialMeta) bool {
 // Absorb cycle — what a tier aggregator in another process would run per
 // node close; the in-process spine only encodes, to count the bytes — must
 // stay on pooled state, raw or packed: at dim 256 (a fleet close, below
-// compressThreshold) and at the round-http model's dim, whose window is
+// packThreshold) and at the round-http model's dim, whose window is
 // packed. It allocates at most a handful of objects; the budget tolerates
 // pool churn under GC pressure while catching any per-frame regression
 // (escaping headers, metadata structs, trace strings, a frame-sized buffer
@@ -113,7 +113,7 @@ func TestPartialFrameCycleAllocs(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		dim    int
-		packed bool // the limb window reaches compressThreshold
+		packed bool // the limb window reaches packThreshold
 		runs   int
 	}{
 		{dim: 256, runs: 10},

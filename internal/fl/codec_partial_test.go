@@ -2,7 +2,6 @@ package fl
 
 import (
 	"bytes"
-	"compress/gzip"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -15,7 +14,7 @@ import (
 	"bofl/internal/obs"
 )
 
-// bigPartial is a tier partial whose limb window is above compressThreshold,
+// bigPartial is a tier partial whose limb window is above packThreshold,
 // so it ships packed, and whose sum holds specials (NaN, ±Inf) next to
 // finite values spread over several limb planes.
 func bigPartial() PartialAggregate {
@@ -61,44 +60,40 @@ func reframe(frame []byte, flags byte, count, payloadLen uint32, payload []byte)
 }
 
 // packedRejects are packed partial frames that each break one rule of the
-// packed payload, plus a gzipped partial. Each declares maxFrameParams limbs
-// (512 MiB) behind a prefix of 256 literal limbs, so a decoder that sized
-// its limb buffer before checking the stream would show it.
+// packed payload, plus partials with bit 0 (once gzip) set. Each declares
+// maxFrameParams limbs (512 MiB) behind a prefix of 256 literal limbs, so a
+// decoder that sized its limb buffer before checking the stream would show
+// it.
 func packedRejects(tb testing.TB) []packedReject {
 	tb.Helper()
 	const count = maxFrameParams
 	prefix := bytes.Repeat([]byte{0x02}, 256) // 256 limbs of value 1
 	stream := func(tail ...byte) []byte { return append(bytes.Clone(prefix), tail...) }
 	run := func(k int) []byte { return binary.AppendUvarint([]byte{0}, uint64(k-1)) }
-	withCRC := func(s []byte) []byte { return binary.LittleEndian.AppendUint32(s, crc32.ChecksumIEEE(s)) }
 	packed := func(payload []byte) []byte {
 		return partialFrame(tb, flagLimbs|flagPacked, count, uint32(len(payload)), payload)
 	}
 	full := stream(run(count - len(prefix))...) // a valid stream of count limbs
-	badCRC := withCRC(bytes.Clone(full))
+	badCRC := appendCRC(bytes.Clone(full))
 	badCRC[len(badCRC)-1] ^= 0x01
-	var gz bytes.Buffer
-	zw := gzip.NewWriter(&gz)
-	zw.Write(prefix)
-	zw.Close()
 
 	return []packedReject{
 		{name: "declared length above 10·count+4", unread: len(full) + 4,
-			frame: partialFrame(tb, flagLimbs|flagPacked, count, maxPackedLimb*count+5, withCRC(full))},
-		{name: "payload ends inside a uvarint", frame: packed(withCRC(stream(0x80, 0x80)))},
-		{name: "11-byte uvarint", frame: packed(withCRC(stream(append(bytes.Repeat([]byte{0x80}, 10), 0x01)...)))},
-		{name: "zero run past the limb count", frame: packed(withCRC(stream(run(count - len(prefix) + 1)...)))},
-		{name: "zero-run marker with no length", frame: packed(withCRC(stream(0x00)))},
-		{name: "byte after the last limb", frame: packed(withCRC(append(bytes.Clone(full), 0x02)))},
-		{name: "stream short of the limb count", frame: packed(withCRC(stream()))},
+			frame: partialFrame(tb, flagLimbs|flagPacked, count, maxPackedLimb*count+5, appendCRC(full))},
+		{name: "payload ends inside a uvarint", frame: packed(appendCRC(stream(0x80, 0x80)))},
+		{name: "11-byte uvarint", frame: packed(appendCRC(stream(append(bytes.Repeat([]byte{0x80}, 10), 0x01)...)))},
+		{name: "zero run past the limb count", frame: packed(appendCRC(stream(run(count - len(prefix) + 1)...)))},
+		{name: "zero-run marker with no length", frame: packed(appendCRC(stream(0x00)))},
+		{name: "byte after the last limb", frame: packed(appendCRC(append(bytes.Clone(full), 0x02)))},
+		{name: "stream short of the limb count", frame: packed(appendCRC(stream()))},
 		{name: "wrong CRC", frame: packed(badCRC)},
 		{name: "no room for the CRC", frame: packed([]byte{0, 0, 0})},
-		{name: "gzip on a partial frame",
-			frame: partialFrame(tb, flagLimbs|flagGzip, count, uint32(gz.Len()), gz.Bytes())},
-		{name: "gzip beside packed",
-			frame: partialFrame(tb, flagLimbs|flagPacked|flagGzip, count, uint32(len(full)+4), withCRC(full))},
+		{name: "bit 0 on a partial frame",
+			frame: partialFrame(tb, flagLimbs|bit0, count, uint32(len(prefix)), prefix)},
+		{name: "bit 0 beside packed",
+			frame: partialFrame(tb, flagLimbs|flagPacked|bit0, count, uint32(len(full)+4), appendCRC(full))},
 		{name: "packed without limbs",
-			frame: partialFrame(tb, flagPacked, count, uint32(len(full)+4), withCRC(full))},
+			frame: partialFrame(tb, flagPacked, count, uint32(len(full)+4), appendCRC(full))},
 	}
 }
 
@@ -111,7 +106,7 @@ type packedReject struct {
 }
 
 // TestPartialPackedRejects sends the decoder packed payloads that break each
-// rule of the format, and gzip on a partial frame. Each must fail
+// rule of the format, and bit 0 on a partial frame. Each must fail
 // ErrCorruptFrame having allocated no more than the bytes sent, plus
 // errAlloc for the error value it returns; a length above the packed bound
 // must fail before the payload is read.
@@ -190,10 +185,13 @@ func FuzzPartialAggregate(f *testing.F) {
 	if frames[2][4]&flagPacked == 0 {
 		f.Fatal("big partial did not take the packed path")
 	}
-	// Packed payloads on windows below compressThreshold, which no encoder
-	// emits and the decoder accepts.
+	// Packed payloads on windows below packThreshold, which no encoder
+	// emits and the decoder accepts; then a small partial with bit 0 set,
+	// which it rejects.
 	frames = append(frames, repackFrame(f, frames[0]), repackFrame(f, frames[1]))
-	frames = append(frames, gzipPartialFrame(f, bigPartial(), gzip.DefaultCompression))
+	bit0Partial := bytes.Clone(frames[0])
+	bit0Partial[4] |= bit0
+	frames = append(frames, bit0Partial)
 	for _, tc := range packedRejects(f) {
 		f.Add(tc.frame)
 	}

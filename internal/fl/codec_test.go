@@ -7,10 +7,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
+	"hash/crc32"
 	"math"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -46,6 +45,26 @@ func sampleResponse(params []float64) RoundResponse {
 	}
 }
 
+// bit0 is the frame flag that once marked a gzipped payload. Every decoder
+// now rejects it like any other unknown bit.
+const bit0 byte = 1 << 0
+
+// inexact returns n values none of which narrows to float32, so a frame
+// carries them in the 8-byte form and their payload is exactly 8·n bytes.
+func inexact(n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = 0.1 + float64(i)
+	}
+	return out
+}
+
+// appendCRC appends the CRC-32 (IEEE) of b to it, as a round frame's
+// trailer or a packed payload's checksum.
+func appendCRC(b []byte) []byte {
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+}
+
 func paramsEqual(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false
@@ -65,6 +84,11 @@ func TestCodecRoundTrip(t *testing.T) {
 		"f64":      {1.0 / 3.0, math.Pi, -2.7e-300, 1e300},
 		"f32exact": {0.5, -1.25, 3, 0, 65504},
 		"specials": {math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 42},
+	}
+	// Payloads one value below, at and above 64 KiB, the size at which they
+	// used to deflate, ship raw like any other.
+	for _, n := range []int{64<<10/8 - 1, 64 << 10 / 8, 64<<10/8 + 1} {
+		cases[fmt.Sprintf("n%d", n)] = inexact(n)
 	}
 	for name, params := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -141,66 +165,42 @@ func TestCodecF32Narrowing(t *testing.T) {
 	}
 }
 
-// TestCodecGzipThreshold drives payload sizes straddling compressThreshold and
-// checks the flag byte plus lossless decode on both sides of the boundary.
-func TestCodecGzipThreshold(t *testing.T) {
-	// Inexact values force the 8-byte element path, making the raw payload
-	// size exactly 8·n.
-	mk := func(n int) []float64 {
-		out := make([]float64, n)
-		for i := range out {
-			out[i] = 0.1 + float64(i)
-		}
-		return out
-	}
-	cases := []struct {
-		n    int
-		gzip bool
+// TestCodecTruncatedFrames cuts valid frames short: a small one at every
+// byte offset, and one above 64 KiB at every 97th offset and inside its CRC
+// trailer. Each prefix must produce an error, never a panic or a silent
+// short decode.
+func TestCodecTruncatedFrames(t *testing.T) {
+	for _, tc := range []struct {
+		params []float64
+		stride int
 	}{
-		{compressThreshold/8 - 1, false}, // one element below
-		{compressThreshold / 8, true},    // exactly at the threshold
-		{compressThreshold/8 + 1, true},  // one above
-	}
-	for _, tc := range cases {
+		{[]float64{1.5, 2.5, 0.1}, 1},
+		{inexact(64<<10/8 + 64), 97},
+	} {
 		var buf bytes.Buffer
-		req := sampleRequest(mk(tc.n))
-		if err := EncodeRoundRequest(&buf, req); err != nil {
+		if err := EncodeRoundRequest(&buf, sampleRequest(tc.params)); err != nil {
 			t.Fatal(err)
 		}
-		flags := buf.Bytes()[4]
-		if got := flags&flagGzip != 0; got != tc.gzip {
-			t.Errorf("n=%d: gzip flag = %v, want %v", tc.n, got, tc.gzip)
+		frame := buf.Bytes()
+		check := func(cut int) {
+			_, err := DecodeRoundRequest(bytes.NewReader(frame[:cut]))
+			if err == nil {
+				t.Fatalf("truncation at %d/%d bytes decoded without error", cut, len(frame))
+			}
+			if !errors.Is(err, ErrCorruptFrame) {
+				t.Fatalf("truncation at %d/%d bytes: error %v does not wrap ErrCorruptFrame", cut, len(frame), err)
+			}
 		}
-		got, err := DecodeRoundRequest(&buf)
-		if err != nil {
-			t.Fatalf("n=%d: %v", tc.n, err)
+		for cut := 0; cut < len(frame); cut += tc.stride {
+			check(cut)
 		}
-		if !paramsEqual(got.Params, req.Params) {
-			t.Errorf("n=%d: params corrupted through gzip boundary", tc.n)
+		for cut := len(frame) - 4; cut < len(frame); cut++ {
+			check(cut)
 		}
-	}
-}
-
-// TestCodecTruncatedFrames cuts a valid frame at every byte offset; each
-// prefix must produce an error, never a panic or a silent short decode.
-func TestCodecTruncatedFrames(t *testing.T) {
-	var buf bytes.Buffer
-	if err := EncodeRoundRequest(&buf, sampleRequest([]float64{1.5, 2.5, 0.1})); err != nil {
-		t.Fatal(err)
-	}
-	frame := buf.Bytes()
-	for cut := 0; cut < len(frame); cut++ {
-		_, err := DecodeRoundRequest(bytes.NewReader(frame[:cut]))
-		if err == nil {
-			t.Fatalf("truncation at %d/%d bytes decoded without error", cut, len(frame))
+		// The full frame still decodes.
+		if _, err := DecodeRoundRequest(bytes.NewReader(frame)); err != nil {
+			t.Fatal(err)
 		}
-		if !errors.Is(err, ErrCorruptFrame) {
-			t.Fatalf("truncation at %d/%d bytes: error %v does not wrap ErrCorruptFrame", cut, len(frame), err)
-		}
-	}
-	// The full frame still decodes.
-	if _, err := DecodeRoundRequest(bytes.NewReader(frame)); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -269,89 +269,74 @@ func TestCodecMalformedFrames(t *testing.T) {
 		binary.LittleEndian.PutUint32(lb[:], 0)
 		buf.Write(lb[:]) // count 0
 		buf.Write(lb[:]) // payload 0
-		_, err := DecodeRoundRequest(&buf)
+		_, err := DecodeRoundRequest(bytes.NewReader(appendCRC(buf.Bytes())))
 		wantCorruptFrame(t, err, "garbage meta")
 	})
 }
 
-// TestCodecTruncatedGzip cuts a gzip-compressed frame inside the deflate
-// stream at every offset past the header: the inflater must surface a typed
-// corruption error, never a panic, hang, or silent short read.
-func TestCodecTruncatedGzip(t *testing.T) {
-	// Inexact values force the 8-byte element path so 8·n crosses the gzip
-	// threshold.
-	params := make([]float64, compressThreshold/8+64)
-	for i := range params {
-		params[i] = 0.1 + float64(i%7)
-	}
-	var buf bytes.Buffer
-	if err := EncodeRoundRequest(&buf, sampleRequest(params)); err != nil {
-		t.Fatal(err)
-	}
-	frame := buf.Bytes()
-	if frame[4]&flagGzip == 0 {
-		t.Fatalf("frame of %d params did not take the gzip path", len(params))
-	}
-	// Step through the compressed payload region in strides; every prefix
-	// must fail typed.
-	for cut := len(frame) / 2; cut < len(frame); cut += 97 {
-		_, err := DecodeRoundRequest(bytes.NewReader(frame[:cut]))
-		wantCorruptFrame(t, err, fmt.Sprintf("gzip truncation at %d/%d", cut, len(frame)))
-	}
-	// A bit flip inside the deflate stream must also surface typed: either
-	// the checksum or the payload-length check catches it.
-	flipped := bytes.Clone(frame)
-	flipped[len(flipped)/2] ^= 0x10
-	if _, err := DecodeRoundRequest(bytes.NewReader(flipped)); err != nil {
-		wantCorruptFrame(t, err, "gzip bit flip")
-	}
-}
-
-// TestCodecGzipChecksum flips single bits across compressed payloads: an
-// f64 model, whose deflate stream is stored blocks (a flipped data bit
-// leaves the stream well formed, so only gzip's CRC-32 can notice), and a
-// partial frame's packed limb window. A model flip may land on a bit the
-// gzip format ignores (header timestamp, block padding) and decode
-// unchanged; otherwise it must fail ErrCorruptFrame, never decode to
-// different values. The packed payload has no ignored bit: every flip,
-// in its limb stream or its CRC, must fail ErrCorruptFrame. Under the race
-// detector, which slows each decode about 25-fold, only every 97th payload
-// byte and the last 12 (the stream's tail and the CRC) get all eight flips.
+// TestCodecGzipChecksum flips single bits across whole frames, and every
+// flip must fail ErrCorruptFrame, never decode to different values. (The
+// name dates from when gzip's CRC-32 guarded only payloads of 64 KiB and
+// up; the frame CRC now guards every byte of every round frame.) Round
+// frames, each with and without an aux section: every bit of a small
+// request, and all eight bits of every 331st byte of a 16,672-parameter
+// model frame, the round-http MLP, so flips land in the header, the
+// metadata, the payloads and the trailer. Partial frames: every bit of a packed payload, its limb
+// stream and its own CRC. Under the race detector, which slows each decode
+// about 25-fold, the round frames flip only every 7th of those bytes and
+// the partial every 97th payload byte. The last 12 bytes of each frame, the
+// payload's tail and the CRC, always get all eight flips.
 func TestCodecGzipChecksum(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	params := make([]float64, 16_672)
 	for i := range params {
 		params[i] = rng.NormFloat64() * 0.05
 	}
-	var buf bytes.Buffer
-	if err := EncodeRoundRequest(&buf, sampleRequest(params)); err != nil {
-		t.Fatal(err)
-	}
-	frame := bytes.Clone(buf.Bytes())
-	if frame[4]&flagGzip == 0 {
-		t.Fatal("model frame did not take the gzip path")
-	}
-	payload := 17 + int(binary.LittleEndian.Uint32(frame[5:9]))
-	for off := payload; off < len(frame); off += 331 {
-		flipped := bytes.Clone(frame)
-		flipped[off] ^= 0x10
-		got, err := DecodeRoundRequest(bytes.NewReader(flipped))
-		if err != nil {
-			wantCorruptFrame(t, err, fmt.Sprintf("model bit flip at %d", off))
-		} else if !paramsEqual(got.Params, params) {
-			t.Fatalf("model bit flip at %d/%d decoded to different params without error", off, len(frame))
+	aux := []float64{0.25, -0.5, 3}
+	for _, tc := range []struct {
+		req    RoundRequest
+		stride int
+	}{
+		{sampleRequest([]float64{1.5, 0.1}), 1},
+		{auxRequest([]float64{1.5, 0.1}, aux), 1},
+		{sampleRequest(params), 331},
+		{auxRequest(params, aux), 331},
+	} {
+		var buf bytes.Buffer
+		if err := EncodeRoundRequest(&buf, tc.req); err != nil {
+			t.Fatal(err)
+		}
+		frame, stride := buf.Bytes(), tc.stride
+		if raceEnabled && stride > 1 {
+			stride *= 7
+		}
+		for off := range frame {
+			if off%stride != 0 && off < len(frame)-12 {
+				continue
+			}
+			for bit := byte(1); bit != 0; bit <<= 1 {
+				frame[off] ^= bit
+				_, err := DecodeRoundRequest(bytes.NewReader(frame))
+				frame[off] ^= bit
+				if !errors.Is(err, ErrCorruptFrame) {
+					t.Fatalf("round bit %#x flipped at %d/%d: err %v, want ErrCorruptFrame", bit, off, len(frame), err)
+				}
+			}
+		}
+		if got, err := DecodeRoundRequest(bytes.NewReader(frame)); err != nil || len(got.Params) == 0 {
+			t.Fatalf("unflipped frame: %d params, err %v", len(got.Params), err)
 		}
 	}
 
-	buf.Reset()
+	var buf bytes.Buffer
 	if err := EncodePartialAggregate(&buf, bigPartial()); err != nil {
 		t.Fatal(err)
 	}
-	frame = buf.Bytes()
+	frame := buf.Bytes()
 	if frame[4]&flagPacked == 0 {
 		t.Fatal("big partial did not take the packed path")
 	}
-	payload = 17 + int(binary.LittleEndian.Uint32(frame[5:9]))
+	payload := 17 + int(binary.LittleEndian.Uint32(frame[5:9]))
 	var dec PartialAggregate
 	for off := payload; off < len(frame); off++ {
 		if raceEnabled && (off-payload)%97 != 0 && off < len(frame)-12 {
@@ -369,8 +354,10 @@ func TestCodecGzipChecksum(t *testing.T) {
 }
 
 // TestCodecWireSavings pins the acceptance bar: on a CNN-sized vector of
-// float32-valued weights (the realistic case — models train in single
-// precision), the frame must be at least 4× smaller than the JSON encoding.
+// float32-valued weights, as a model trained in single precision ships
+// them, the frame must be at least 4× smaller than the JSON encoding. (It
+// is 5.23× smaller; internal/ml's models train in float64 and ship in the
+// 8-byte form.)
 func TestCodecWireSavings(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	params := make([]float64, 100_000)
@@ -416,7 +403,7 @@ func FuzzCodec(f *testing.F) {
 		{1.5},
 		{0.1, 0.2, 0.3},
 		{math.NaN(), math.Inf(1)},
-		make([]float64, compressThreshold/8+4), // gzip path
+		make([]float64, 64<<10/8+4), // zeros narrow to a 32 kB f32 payload
 	}
 	for _, params := range seedVectors {
 		var buf bytes.Buffer
@@ -427,20 +414,16 @@ func FuzzCodec(f *testing.F) {
 	}
 	f.Add([]byte("BFL1"))
 	f.Add([]byte{})
-	// Damaged-wire seeds: truncations (including mid-gzip) and single bit
-	// flips of otherwise valid frames, steering the fuzzer toward the
+	// Damaged-wire seeds: truncations and single bit flips of an otherwise
+	// valid frame above 64 KiB, steering the fuzzer toward the
 	// corruption-detection paths the chaos harness depends on.
 	{
-		big := make([]float64, compressThreshold/8+16)
-		for i := range big {
-			big[i] = 0.1 + float64(i%5) // inexact → 8-byte path → gzip frame
-		}
 		var buf bytes.Buffer
-		if err := EncodeRoundRequest(&buf, sampleRequest(big)); err != nil {
+		if err := EncodeRoundRequest(&buf, sampleRequest(inexact(64<<10/8+16))); err != nil {
 			f.Fatal(err)
 		}
 		frame := buf.Bytes()
-		f.Add(frame[:len(frame)/2]) // cut inside the deflate stream
+		f.Add(frame[:len(frame)/2]) // cut inside the payload
 		f.Add(frame[:9])            // cut inside the meta section
 		f.Add(frame[:len(frame)-1]) // one byte short
 		for _, off := range []int{0, 4, 9, len(frame) / 2, len(frame) - 1} {
@@ -449,15 +432,11 @@ func FuzzCodec(f *testing.F) {
 			f.Add(flipped)
 		}
 	}
-	// Aux-section seeds: SCAFFOLD control-variate frames (plain, f32, gzip)
-	// plus truncations and bit flips landing inside the aux section, steering
-	// the fuzzer at the second vector section's structural checks.
+	// Aux-section seeds: SCAFFOLD control-variate frames (f64, f32, above
+	// 64 KiB) plus truncations and bit flips landing inside the aux section,
+	// steering the fuzzer at the second vector section's structural checks.
 	{
-		bigAux := make([]float64, compressThreshold/8+16)
-		for i := range bigAux {
-			bigAux[i] = 0.1 + float64(i%7)
-		}
-		for _, aux := range [][]float64{{0.25, -0.5}, {0.5, 1.25, -3}, bigAux} {
+		for _, aux := range [][]float64{{0.25, -0.5}, {0.5, 1.25, -3}, inexact(64<<10/8 + 16)} {
 			var buf bytes.Buffer
 			if err := EncodeRoundRequest(&buf, auxRequest([]float64{1.5, 0.1}, aux)); err != nil {
 				f.Fatal(err)
@@ -479,14 +458,18 @@ func FuzzCodec(f *testing.F) {
 			f.Add(flipped)
 		}
 	}
-	// Frames deflated at gzip.DefaultCompression, as older peers send them:
-	// dynamic-Huffman streams the BestSpeed encoder no longer produces for
-	// these payloads.
+	// Frames each decoder must refuse although their CRC holds: bit 0, once
+	// gzip, on a frame and on an aux section. Then a frame with no trailer at
+	// all, as encoders wrote them before the CRC.
 	{
-		_, _, _, frames := defaultLevelFrames(f)
-		f.Add(frames[0]) // request with an aux section
-		f.Add(frames[1]) // response, parsed as a request
-		f.Add(frames[2]) // gzipped partial, which a round decoder rejects
+		frame, aux := bit0Frames(f)
+		f.Add(frame)
+		f.Add(aux)
+		var buf bytes.Buffer
+		if err := EncodeRoundRequest(&buf, sampleRequest([]float64{1.5, 0.1})); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes()[:buf.Len()-4])
 	}
 	// Hostile trace-context seeds: the codec is deliberately faithful to
 	// whatever trace strings were framed (sanitization is the HTTP handler's
@@ -506,34 +489,47 @@ func FuzzCodec(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := DecodeRoundRequest(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := EncodeRoundRequest(&buf, req); err != nil {
-			t.Fatalf("re-encode of decoded frame failed: %v", err)
-		}
-		again, err := DecodeRoundRequest(&buf)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if again.Round != req.Round || again.Jobs != req.Jobs || again.Deadline != req.Deadline {
-			t.Fatalf("meta drift: %+v vs %+v", again, req)
-		}
-		if again.Trace != req.Trace {
-			t.Fatalf("trace drift: %+v vs %+v", again.Trace, req.Trace)
-		}
-		if !paramsEqual(again.Params, req.Params) {
-			t.Fatalf("param drift after round trip")
-		}
-		if again.Alg != req.Alg || again.Prox != req.Prox {
-			t.Fatalf("alg meta drift: %q/%v vs %q/%v", again.Alg, again.Prox, req.Alg, req.Prox)
-		}
-		if !paramsEqual(again.Aux, req.Aux) {
-			t.Fatalf("aux drift after round trip")
+		checkRequestRoundTrip(t, data)
+		// A mutation almost never keeps the frame CRC, so also decode a copy
+		// whose last four bytes are the CRC of the rest: that copy reaches
+		// the section parser and the metadata behind the checksum.
+		if len(data) >= 4 {
+			checkRequestRoundTrip(t, appendCRC(bytes.Clone(data[:len(data)-4])))
 		}
 	})
+}
+
+// checkRequestRoundTrip decodes data as a round request and, when it
+// decodes, requires a re-encode/re-decode cycle to reproduce it exactly.
+func checkRequestRoundTrip(t *testing.T, data []byte) {
+	t.Helper()
+	req, err := DecodeRoundRequest(bytes.NewReader(data))
+	if err != nil {
+		return
+	}
+	var buf bytes.Buffer
+	if err := EncodeRoundRequest(&buf, req); err != nil {
+		t.Fatalf("re-encode of decoded frame failed: %v", err)
+	}
+	again, err := DecodeRoundRequest(&buf)
+	if err != nil {
+		t.Fatalf("re-decode failed: %v", err)
+	}
+	if again.Round != req.Round || again.Jobs != req.Jobs || again.Deadline != req.Deadline {
+		t.Fatalf("meta drift: %+v vs %+v", again, req)
+	}
+	if again.Trace != req.Trace {
+		t.Fatalf("trace drift: %+v vs %+v", again.Trace, req.Trace)
+	}
+	if !paramsEqual(again.Params, req.Params) {
+		t.Fatalf("param drift after round trip")
+	}
+	if again.Alg != req.Alg || again.Prox != req.Prox {
+		t.Fatalf("alg meta drift: %q/%v vs %q/%v", again.Alg, again.Prox, req.Alg, req.Prox)
+	}
+	if !paramsEqual(again.Aux, req.Aux) {
+		t.Fatalf("aux drift after round trip")
+	}
 }
 
 // auxRequest is sampleRequest carrying the SCAFFOLD protocol fields.
@@ -546,18 +542,15 @@ func auxRequest(params, aux []float64) RoundRequest {
 }
 
 // TestCodecAuxRoundTrip drives the control-variate payload section through
-// every encoder path — f64, f32-narrowed, gzip-compressed, specials — and
-// checks the aux vector and the new meta fields survive bit for bit.
+// every encoder path — f64, f32-narrowed, specials, and above 64 KiB (the
+// case named "gzip", after the size at which payloads used to deflate) —
+// and checks the aux vector and the new meta fields survive bit for bit.
 func TestCodecAuxRoundTrip(t *testing.T) {
-	big := make([]float64, compressThreshold/8+32)
-	for i := range big {
-		big[i] = 0.1 + float64(i%9)
-	}
 	cases := map[string][]float64{
 		"f64":      {1.0 / 3.0, -math.Pi, 2.5e-310},
 		"f32exact": {0.5, -1.25, 3, 0},
 		"specials": {math.NaN(), math.Inf(-1), math.Copysign(0, -1)},
-		"gzip":     big,
+		"gzip":     inexact(64<<10/8 + 32),
 	}
 	for name, aux := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -601,9 +594,9 @@ func TestCodecAuxRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCodecAuxlessFrameUnchanged pins backward compatibility: a frame with no
-// aux vector must not set flagAux and must end exactly where the pre-aux
-// format ended (no trailing section).
+// TestCodecAuxlessFrameUnchanged pins the aux-less layout: a frame with no
+// aux vector must not set flagAux, and its parameter payload must be
+// followed only by the 4-byte trailer, the CRC-32 of every byte before it.
 func TestCodecAuxlessFrameUnchanged(t *testing.T) {
 	var buf bytes.Buffer
 	if err := EncodeRoundRequest(&buf, sampleRequest([]float64{1.5, 0.1})); err != nil {
@@ -615,8 +608,11 @@ func TestCodecAuxlessFrameUnchanged(t *testing.T) {
 	}
 	metaLen := binary.LittleEndian.Uint32(f[5:9])
 	payloadLen := binary.LittleEndian.Uint32(f[13+metaLen:])
-	if want := int(17 + metaLen + payloadLen); len(f) != want {
+	if want := int(17 + metaLen + payloadLen + 4); len(f) != want {
 		t.Fatalf("aux-less frame is %d bytes, want %d", len(f), want)
+	}
+	if got, want := binary.LittleEndian.Uint32(f[len(f)-4:]), crc32.ChecksumIEEE(f[:len(f)-4]); got != want {
+		t.Fatalf("trailer %#08x, want the CRC-32 of the rest, %#08x", got, want)
 	}
 }
 
@@ -649,7 +645,7 @@ func TestCodecAuxMalformed(t *testing.T) {
 	})
 	t.Run("unknown section flags", func(t *testing.T) {
 		f := valid()
-		f[auxSectionOffset(f)] |= flagAux // aux flags allow only gzip|f32
+		f[auxSectionOffset(f)] |= flagAux // aux flags allow only f32
 		_, err := DecodeRoundRequest(bytes.NewReader(f))
 		wantCorruptFrame(t, err, "reserved aux section flag")
 	})
@@ -666,174 +662,76 @@ func TestCodecAuxMalformed(t *testing.T) {
 		wantCorruptFrame(t, err, "aux payload length lie")
 	})
 	t.Run("payload bit flip", func(t *testing.T) {
-		// A flipped payload bit is undetectable without a checksum (the values
-		// are arbitrary floats) but must never panic, and structural bits
-		// (count, flags) are covered above. Flip and require decode to either
-		// fail typed or produce a same-shape vector.
+		// No structural check can see a flipped payload bit (the values are
+		// arbitrary floats); the frame CRC must.
 		f := valid()
 		f[auxSectionOffset(f)+9] ^= 0x40
-		req, err := DecodeRoundRequest(bytes.NewReader(f))
-		if err != nil {
-			wantCorruptFrame(t, err, "aux payload bit flip")
-		} else if len(req.Aux) != 3 {
-			t.Fatalf("bit flip changed aux shape: %d values", len(req.Aux))
-		}
+		_, err := DecodeRoundRequest(bytes.NewReader(f))
+		wantCorruptFrame(t, err, "aux payload bit flip")
 	})
 }
 
-// gzipBytes deflates raw at the given level.
-func gzipBytes(tb testing.TB, raw []byte, level int) []byte {
+// bit0Frames returns two small round requests whose CRC trailer holds but
+// which set bit 0: one in the frame's flags, one in its aux section's.
+func bit0Frames(tb testing.TB) (frame, aux []byte) {
 	tb.Helper()
-	var comp bytes.Buffer
-	zw, err := gzip.NewWriterLevel(&comp, level)
-	if err != nil {
+	var plain, withAux bytes.Buffer
+	if err := EncodeRoundRequest(&plain, sampleRequest([]float64{1.5, 0.1})); err != nil {
 		tb.Fatal(err)
 	}
-	if _, err := zw.Write(raw); err != nil {
+	if err := EncodeRoundRequest(&withAux, auxRequest([]float64{1.5, 0.1}, []float64{0.25, -0.5})); err != nil {
 		tb.Fatal(err)
 	}
-	if err := zw.Close(); err != nil {
-		tb.Fatal(err)
-	}
-	return comp.Bytes()
+	return setBit0(plain.Bytes(), 4), setBit0(withAux.Bytes(), auxSectionOffset(withAux.Bytes()))
 }
 
-// gzipPartialFrame is pa as a partial frame whose raw limbs are deflated at
-// the given level under flagLimbs|flagGzip: the form a large window took
-// before packing replaced deflate, which the decoder now rejects.
-func gzipPartialFrame(tb testing.TB, pa PartialAggregate, level int) []byte {
-	tb.Helper()
-	var buf bytes.Buffer
-	if err := EncodePartialAggregate(&buf, pa); err != nil {
-		tb.Fatal(err)
-	}
-	raw := make([]byte, 0, 8*len(pa.Sum.Limbs))
-	for _, l := range pa.Sum.Limbs {
-		raw = binary.LittleEndian.AppendUint64(raw, l)
-	}
-	comp := gzipBytes(tb, raw, level)
-	return reframe(buf.Bytes(), flagLimbs|flagGzip, uint32(len(pa.Sum.Limbs)), uint32(len(comp)), comp)
+// setBit0 returns a copy of a round frame with bit 0 set in the flag byte
+// at, and its CRC trailer recomputed so that only the flag is wrong.
+func setBit0(frame []byte, at int) []byte {
+	f := bytes.Clone(frame[:len(frame)-4])
+	f[at] |= bit0
+	return appendCRC(f)
 }
 
-// regzipFrame re-deflates every gzip section of an encoded round frame at the
-// given level and fixes up the section lengths: the frame a peer compressing
-// at that level sends for the same values.
-func regzipFrame(tb testing.TB, frame []byte, level int) []byte {
-	tb.Helper()
-	metaLen := int(binary.LittleEndian.Uint32(frame[5:9]))
-	out := bytes.Clone(frame[:9+metaLen])
-	rest := frame[9+metaLen:]
-	section := func(flags byte) {
-		n := int(binary.LittleEndian.Uint32(rest[4:8]))
-		payload := rest[8 : 8+n]
-		if flags&flagGzip != 0 {
-			zr, err := gzip.NewReader(bytes.NewReader(payload))
-			if err != nil {
-				tb.Fatal(err)
-			}
-			raw, err := io.ReadAll(zr)
-			if err != nil {
-				tb.Fatal(err)
-			}
-			payload = gzipBytes(tb, raw, level)
-		}
-		out = append(out, rest[:4]...) // count
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
-		out = append(out, payload...)
-		rest = rest[8+n:]
+// TestCodecRejectsBit0 pins the retired gzip flag: bit 0 set on a request,
+// a response, an aux section's flag byte or a partial frame fails
+// ErrCorruptFrame at the flag check, though the rest of the frame, CRC
+// trailer included, is valid.
+func TestCodecRejectsBit0(t *testing.T) {
+	decodeRequest := func(f []byte) error { _, err := DecodeRoundRequest(bytes.NewReader(f)); return err }
+	decodeResponse := func(f []byte) error { _, err := DecodeRoundResponse(bytes.NewReader(f)); return err }
+	decodePartial := func(f []byte) error { _, err := DecodePartialAggregate(bytes.NewReader(f)); return err }
+	var resp, partial bytes.Buffer
+	if err := EncodeRoundResponse(&resp, sampleResponse(inexact(64<<10/8+32))); err != nil {
+		t.Fatal(err)
 	}
-	section(frame[4])
-	if frame[4]&flagAux != 0 {
-		aflags := rest[0]
-		out = append(out, aflags)
-		rest = rest[1:]
-		section(aflags)
+	if err := EncodePartialAggregate(&partial, bigPartial()); err != nil {
+		t.Fatal(err)
 	}
-	return out
-}
-
-// defaultLevelFrames encodes a round request (f64 model plus a SCAFFOLD aux
-// vector) and a round response (float32-valued weights), both above
-// compressThreshold, and re-deflates each at gzip.DefaultCompression — the
-// level the encoder used before it moved to BestSpeed, and the one older
-// peers still send. The third frame is a partial (limb window with
-// specials) with its raw limbs deflated at that level, as partial frames
-// were before packing replaced deflate.
-func defaultLevelFrames(tb testing.TB) (req RoundRequest, resp RoundResponse, pa PartialAggregate, frames [3][]byte) {
-	tb.Helper()
-	rng := rand.New(rand.NewSource(5))
-	model := make([]float64, 16_672) // the round-http MLP
-	for i := range model {
-		model[i] = rng.NormFloat64() * 0.05
-	}
-	aux := make([]float64, compressThreshold/8+32)
-	for i := range aux {
-		aux[i] = 0.1 + float64(i%9)
-	}
-	weights := make([]float64, 20_000)
-	for i := range weights {
-		weights[i] = float64(float32(rng.NormFloat64() * 0.05))
-	}
-	req = auxRequest(model, aux)
-	resp = sampleResponse(weights)
-	resp.Steps = 13
-	pa = bigPartial()
-
-	var bufs [2]bytes.Buffer
-	if err := EncodeRoundRequest(&bufs[0], req); err != nil {
-		tb.Fatal(err)
-	}
-	if err := EncodeRoundResponse(&bufs[1], resp); err != nil {
-		tb.Fatal(err)
-	}
-	for i := range bufs[:2] {
-		frame := bufs[i].Bytes()
-		if frame[4]&flagGzip == 0 {
-			tb.Fatalf("frame %d did not take the gzip path", i)
-		}
-		frames[i] = regzipFrame(tb, frame, gzip.DefaultCompression)
-		if bytes.Equal(frames[i], frame) {
-			tb.Fatalf("frame %d: default-level stream equals the BestSpeed one", i)
+	frame, aux := bit0Frames(t)
+	bit0Partial := bytes.Clone(partial.Bytes())
+	bit0Partial[4] |= bit0
+	for _, tc := range []struct {
+		name   string
+		decode func([]byte) error
+		frame  []byte
+	}{
+		{"request", decodeRequest, frame},
+		{"response", decodeResponse, setBit0(resp.Bytes(), 4)},
+		{"aux section", decodeRequest, aux},
+		{"partial", decodePartial, bit0Partial},
+	} {
+		err := tc.decode(tc.frame)
+		if !errors.Is(err, ErrCorruptFrame) || !strings.Contains(err.Error(), "flags") {
+			t.Errorf("%s with bit 0: err %v, want ErrCorruptFrame at the flag check", tc.name, err)
 		}
 	}
-	frames[2] = gzipPartialFrame(tb, pa, gzip.DefaultCompression)
-	return req, resp, pa, frames
-}
-
-// TestCodecDecodesDefaultLevelFrames pins decoding of round frames deflated
-// at gzip.DefaultCompression: the level is the encoder's choice alone, so the
-// decoders must return params and meta bit-identical to what the older peer
-// framed. A gzipped partial frame is refused: no encoder emits one, and a
-// partial payload is raw or packed.
-func TestCodecDecodesDefaultLevelFrames(t *testing.T) {
-	req, resp, pa, frames := defaultLevelFrames(t)
-
-	gotReq, err := DecodeRoundRequest(bytes.NewReader(frames[0]))
-	if err != nil {
-		t.Fatalf("request: %v", err)
+	// The same frames decode once bit 0 is clear again.
+	if err := decodeResponse(resp.Bytes()); err != nil {
+		t.Errorf("response: %v", err)
 	}
-	if !paramsEqual(gotReq.Params, req.Params) || !paramsEqual(gotReq.Aux, req.Aux) {
-		t.Error("request: vector sections differ")
-	}
-	gotReq.Params, gotReq.Aux, req.Params, req.Aux = nil, nil, nil, nil
-	if !reflect.DeepEqual(gotReq, req) {
-		t.Errorf("request meta: %+v, want %+v", gotReq, req)
-	}
-
-	gotResp, err := DecodeRoundResponse(bytes.NewReader(frames[1]))
-	if err != nil {
-		t.Fatalf("response: %v", err)
-	}
-	if !paramsEqual(gotResp.Params, resp.Params) || gotResp.Aux != nil {
-		t.Error("response: vector sections differ")
-	}
-	gotResp.Params, resp.Params = nil, nil
-	if !reflect.DeepEqual(gotResp, resp) {
-		t.Errorf("response meta: %+v, want %+v", gotResp, resp)
-	}
-
-	if _, err := DecodePartialAggregate(bytes.NewReader(frames[2])); !errors.Is(err, ErrCorruptFrame) {
-		t.Fatalf("gzipped partial of %d limbs: err %v, want ErrCorruptFrame", len(pa.Sum.Limbs), err)
+	if err := decodePartial(partial.Bytes()); err != nil {
+		t.Errorf("partial: %v", err)
 	}
 }
 
@@ -851,7 +749,10 @@ func hostileFrame(flags byte, count, payloadLen uint32, payload []byte) []byte {
 // TestCodecHostileLengthAllocs sends each decoder short frames whose length
 // fields claim 2^26 float64 params (512 MiB): the decoders must grow their
 // buffers only as bytes arrive, so each frame fails ErrCorruptFrame having
-// allocated under 1 MB.
+// allocated under 1 MB. One more case is a decompression bomb: a valid gzip
+// stream of 64 MiB of zeros under bit 0, 65,309 bytes in all, which decoded
+// into 8,388,608 params and allocated 233.7 MB while bit 0 meant gzip. It
+// must now fail before its payload is read.
 func TestCodecHostileLengthAllocs(t *testing.T) {
 	const count = maxFrameParams
 	var gz bytes.Buffer
@@ -860,9 +761,24 @@ func TestCodecHostileLengthAllocs(t *testing.T) {
 	zw.Close()
 	short := gz.Bytes() // a sound gzip stream of 16 bytes
 
-	decodeRequest := func(f []byte) error { _, err := DecodeRoundRequest(bytes.NewReader(f)); return err }
-	decodeResponse := func(f []byte) error { _, err := DecodeRoundResponse(bytes.NewReader(f)); return err }
-	decodePartial := func(f []byte) error { _, err := DecodePartialAggregate(bytes.NewReader(f)); return err }
+	var bombPayload bytes.Buffer
+	zw = gzip.NewWriter(&bombPayload)
+	zeros := make([]byte, 1<<20)
+	for range 64 {
+		zw.Write(zeros)
+	}
+	zw.Close()
+	const bombMeta = `{"round":1,"jobs":1,"deadlineSeconds":1}`
+	bomb := append(frameMagic[:4:4], bit0)
+	bomb = binary.LittleEndian.AppendUint32(bomb, uint32(len(bombMeta)))
+	bomb = append(bomb, bombMeta...)
+	bomb = binary.LittleEndian.AppendUint32(bomb, 64<<20/8)
+	bomb = binary.LittleEndian.AppendUint32(bomb, uint32(bombPayload.Len()))
+	bomb = append(bomb, bombPayload.Bytes()...)
+
+	decodeRequest := func(r *bytes.Reader) error { _, err := DecodeRoundRequest(r); return err }
+	decodeResponse := func(r *bytes.Reader) error { _, err := DecodeRoundResponse(r); return err }
+	decodePartial := func(r *bytes.Reader) error { _, err := DecodePartialAggregate(r); return err }
 	metaLie := hostileFrame(0, 0, 0, nil)
 	binary.LittleEndian.PutUint32(metaLie[5:9], maxMetaBytes)
 	auxLie := hostileFrame(flagAux, 1, 8, make([]byte, 8))
@@ -873,27 +789,33 @@ func TestCodecHostileLengthAllocs(t *testing.T) {
 
 	cases := []struct {
 		name   string
-		decode func([]byte) error
+		decode func(*bytes.Reader) error
 		frame  []byte
+		unread int // trailing bytes the decoder must leave unread
 	}{
-		{"request", decodeRequest, hostileFrame(0, count, count*8, make([]byte, 9))},
-		{"request gzip", decodeRequest, hostileFrame(flagGzip, count, uint32(len(short)), short)},
-		{"request gzip length", decodeRequest, hostileFrame(flagGzip, count, count*8, short)},
-		{"request aux", decodeRequest, auxLie},
-		{"request meta", decodeRequest, metaLie},
-		{"response", decodeResponse, hostileFrame(0, count, count*8, make([]byte, 9))},
-		{"response gzip", decodeResponse, hostileFrame(flagGzip, count, uint32(len(short)), short)},
-		{"partial", decodePartial, hostileFrame(flagLimbs, count, count*8, make([]byte, 9))},
-		{"partial gzip", decodePartial, hostileFrame(flagLimbs|flagGzip, count, uint32(len(short)), short)},
+		{"request", decodeRequest, hostileFrame(0, count, count*8, make([]byte, 9)), 0},
+		{"request bit 0", decodeRequest, hostileFrame(bit0, count, uint32(len(short)), short), len(short)},
+		{"request bit 0 length", decodeRequest, hostileFrame(bit0, count, count*8, short), len(short)},
+		{"request aux", decodeRequest, auxLie, 0},
+		{"request meta", decodeRequest, metaLie, 0},
+		{"request bomb", decodeRequest, bomb, bombPayload.Len()},
+		{"response", decodeResponse, hostileFrame(0, count, count*8, make([]byte, 9)), 0},
+		{"response bit 0", decodeResponse, hostileFrame(bit0, count, uint32(len(short)), short), len(short)},
+		{"partial", decodePartial, hostileFrame(flagLimbs, count, count*8, make([]byte, 9)), 0},
+		{"partial bit 0", decodePartial, hostileFrame(flagLimbs|bit0, count, uint32(len(short)), short), len(short)},
 	}
 	for _, tc := range cases {
+		r := bytes.NewReader(tc.frame)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err := tc.decode(tc.frame)
+		err := tc.decode(r)
 		runtime.ReadMemStats(&after)
 		wantCorruptFrame(t, err, tc.name)
 		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1e6 {
 			t.Errorf("%s: %d-byte frame allocated %d bytes, want < 1 MB", tc.name, len(tc.frame), alloc)
+		}
+		if r.Len() < tc.unread {
+			t.Errorf("%s: decoder read %d of the %d payload bytes it must leave unread", tc.name, tc.unread-r.Len(), tc.unread)
 		}
 	}
 	if n := len(cases[0].frame); n != 28 {

@@ -25,7 +25,8 @@ import (
 // direction has one bounded, fuzzed decoder. A daemon answers a body of any
 // other Content-Type with 415 and a counted codec error; a participant decodes
 // every 200 answer as a frame, so anything else fails with ErrCorruptFrame
-// and takes the server's quarantine path.
+// and takes the server's quarantine path. Either end reads a round body
+// through decodeBody: one frame, then EOF.
 //
 // This mirrors the configuration/execution/reporting flow of Figure 1 with a
 // plain stdlib stack.
@@ -49,9 +50,10 @@ const maxControlBody = 1 << 20
 
 // flTransport is the process-wide HTTP transport shared by every
 // HTTPParticipant and check-in call: connections to client daemons are kept
-// alive across rounds instead of being re-dialed every round, and dials are
-// individually bounded so one unreachable device cannot absorb the whole
-// round timeout.
+// alive across rounds instead of being re-dialed every round (the transport
+// keeps a connection only once its answer was read to EOF, which decodeBody
+// does), and dials are individually bounded so one unreachable device cannot
+// absorb the whole round timeout.
 var flTransport = &http.Transport{
 	Proxy: http.ProxyFromEnvironment,
 	DialContext: (&net.Dialer{
@@ -63,6 +65,9 @@ var flTransport = &http.Transport{
 	IdleConnTimeout:     90 * time.Second,
 }
 
+// maxRoundBody caps a /v1/round body in either direction.
+const maxRoundBody = 64 << 20
+
 // countingReader counts the bytes pulled through it, for wire accounting.
 type countingReader struct {
 	r io.Reader
@@ -73,6 +78,29 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
 	c.n += int64(n)
 	return n, err
+}
+
+// decodeBody decodes the one frame a /v1/round body carries and reads the
+// body on to its end, returning the bytes read for wire accounting. A body
+// with bytes after the frame fails ErrCorruptFrame. Reaching EOF also lets
+// the client transport keep the connection: an answer's body closed before
+// EOF, such as a chunked one whose last chunk is unread, drops it.
+func decodeBody[T any](body io.ReadCloser, decode func(io.Reader) (T, error)) (T, int64, error) {
+	cr := &countingReader{r: http.MaxBytesReader(nil, body, maxRoundBody)}
+	v, err := decode(cr)
+	if err == nil {
+		var one [1]byte
+		if n, rerr := io.ReadFull(cr, one[:]); n > 0 {
+			err = fmt.Errorf("%w: bytes after the frame", ErrCorruptFrame)
+		} else if rerr != io.EOF {
+			err = fmt.Errorf("%w: read past the frame: %w", ErrCorruptFrame, rerr)
+		}
+	}
+	if err != nil {
+		var zero T
+		return zero, cr.n, err
+	}
+	return v, cr.n, nil
 }
 
 // ClientHandler exposes a *Client over HTTP.
@@ -137,14 +165,13 @@ func (h *ClientHandler) handleRound(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "round bodies must be "+ContentTypeBinary, http.StatusUnsupportedMediaType)
 		return
 	}
-	body := &countingReader{r: io.LimitReader(r.Body, 64<<20)}
-	req, err := DecodeRoundRequest(body)
+	req, rx, err := decodeBody(r.Body, DecodeRoundRequest)
 	if err != nil {
 		h.sink.Count(obs.MetricFLHTTPErrors, 1, obs.L("endpoint", "round"), obs.L("kind", "decode"))
 		http.Error(w, fmt.Sprintf("decode round request: %v", err), http.StatusBadRequest)
 		return
 	}
-	h.sink.Count(obs.MetricFLWireRx, float64(body.n), obs.L("codec", CodecBinary))
+	h.sink.Count(obs.MetricFLWireRx, float64(rx), obs.L("codec", CodecBinary))
 
 	// Trace-context ingress: the X-Bofl-Trace header wins (it survives even
 	// proxies that re-encode the body); the frame's meta fields are the
@@ -300,7 +327,8 @@ func (p *HTTPParticipant) TMinFor(jobs int) (float64, error) {
 }
 
 // Round posts the round request to the daemon as a BFL1 frame and decodes
-// the answer as one.
+// the answer as one, reading it to EOF so the connection serves the next
+// round.
 func (p *HTTPParticipant) Round(req RoundRequest) (RoundResponse, error) {
 	p.attemptTx.Store(0)
 	p.attemptRx.Store(0)
@@ -332,13 +360,12 @@ func (p *HTTPParticipant) Round(req RoundRequest) (RoundResponse, error) {
 	p.sink.Count(obs.MetricFLWireTx, float64(buf.Len()), obs.L("codec", CodecBinary))
 	p.attemptTx.Store(int64(buf.Len()))
 
-	body := &countingReader{r: io.LimitReader(resp.Body, 64<<20)}
-	out, err := DecodeRoundResponse(body)
+	out, rx, err := decodeBody(resp.Body, DecodeRoundResponse)
 	if err != nil {
 		p.countErr("decode")
 		return RoundResponse{}, fmt.Errorf("fl: decode round response: %w", err)
 	}
-	p.sink.Count(obs.MetricFLWireRx, float64(body.n), obs.L("codec", CodecBinary))
-	p.attemptRx.Store(body.n)
+	p.sink.Count(obs.MetricFLWireRx, float64(rx), obs.L("codec", CodecBinary))
+	p.attemptRx.Store(rx)
 	return out, nil
 }

@@ -51,12 +51,12 @@ func requireSameSum(t *testing.T, label string, got, want exact.Serialized) {
 // feed the wire path's parent, so a merge that drops weight, survivors or
 // limbs shows up at the parent's close; Root must equal the wire path's
 // root, and Partial the decoded top frame. Fanouts 2, 3 and 64, tier quorum
-// 0 and 0.5, dims below and above compressThreshold (raw and packed limb
+// 0 and 0.5, dims below and above packThreshold (raw and packed limb
 // payloads), dropouts, specials and an all-zero group, over two rounds on
 // one reused spine.
 func TestTreeMergeMatchesDecodedFrames(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261018))
-	// Dim 3,000 makes a three-plane window 72 kB, past compressThreshold, so
+	// Dim 3,000 makes a three-plane window 72 kB, past packThreshold, so
 	// those frames ship packed.
 	for _, dim := range []int{96, 3_000} {
 		for _, fanout := range []int{2, 3, 64} {
@@ -117,7 +117,7 @@ func checkTreeMerge(t *testing.T, rng *rand.Rand, dim, n, fanout int, quorum flo
 				t.Fatalf("%s: frame is %d bytes, event reports %d", label, buf.Len(), ev.WireTxBytes)
 			}
 			isPacked := buf.Bytes()[4]&flagPacked != 0
-			if wantPacked := len(sent.Sum.Limbs)*8 >= compressThreshold; isPacked != wantPacked {
+			if wantPacked := len(sent.Sum.Limbs)*8 >= packThreshold; isPacked != wantPacked {
 				t.Fatalf("%s: packed flag %v for a %d-limb window, want %v", label, isPacked, len(sent.Sum.Limbs), wantPacked)
 			}
 			packed = packed || isPacked
@@ -206,7 +206,7 @@ func checkTreeMerge(t *testing.T, rng *rand.Rand, dim, n, fanout int, quorum flo
 	if partials == 0 {
 		t.Fatal("no partial frames shipped")
 	}
-	if wantPacked := dim*8*3 >= compressThreshold; packed != wantPacked {
+	if wantPacked := dim*8*3 >= packThreshold; packed != wantPacked {
 		t.Fatalf("packed frames %v, want %v", packed, wantPacked)
 	}
 }

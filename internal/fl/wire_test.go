@@ -3,13 +3,20 @@ package fl
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"bofl/internal/core"
+	"bofl/internal/device"
+	"bofl/internal/ml"
 	"bofl/internal/obs"
 )
 
@@ -95,6 +102,125 @@ func TestRoundRejectsNonFrameBody(t *testing.T) {
 	}
 	if e := c.TotalEnergy(); e != 0 {
 		t.Errorf("a rejected round body spent %v J on the client", e)
+	}
+}
+
+// TestRoundConnectionsKeptAlive runs 20 rounds against 8 loopback daemons
+// and counts the TCP connections each daemon accepts: after set-up (the
+// /v1/info dial), no round may open one. Each answer frame is 10.8 kB, past
+// the server's 2 kB buffer, so it goes out chunked, and a participant that
+// closed the body at the frame's last byte, before the final chunk, would
+// make the transport drop the connection and re-dial the next round.
+func TestRoundConnectionsKeptAlive(t *testing.T) {
+	const daemons, rounds = 8, 20
+	global, err := ml.NewMLP(16, 64, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(ServerConfig{InitialParams: global.Params(), Jobs: 2, DeadlineRatio: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var opened atomic.Int64
+	dev := device.JetsonAGX()
+	for i := range daemons {
+		seed := int64(i) + 2
+		model, err := ml.NewMLP(16, 64, 4, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := ml.Blobs(32, 16, 4, 0.6, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perf, err := core.NewPerformant(dev.Space())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := NewClient(ClientConfig{
+			ID: fmt.Sprintf("kept-%d", i), Device: dev, Workload: device.ViT,
+			Model: model, Data: data, BatchSize: 8, LearnRate: 0.1,
+			Controller: perf, Seed: seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewUnstartedServer(NewClientHandler(c))
+		ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+			if s == http.StateNew {
+				opened.Add(1)
+			}
+		}
+		ts.Start()
+		t.Cleanup(ts.Close)
+		p, err := DialParticipant(ts.URL, 30*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.Register(p)
+	}
+	setup := opened.Load()
+	for r := 0; r < rounds; r++ {
+		if _, err := srv.RunRound(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := opened.Load() - setup; n != 0 {
+		t.Errorf("%d round requests opened %d connections, want 0", daemons*rounds, n)
+	}
+}
+
+// TestRoundBodyOneFrame: a round body carries exactly one frame. A request
+// with a byte after its frame gets 400 and a decode count at the daemon; an
+// answer with one fails ErrCorruptFrame and a decode count at the
+// participant.
+func TestRoundBodyOneFrame(t *testing.T) {
+	daemonTel := obs.New(nil)
+	c := newTestClient(t, "one-frame", 33)
+	h := NewClientHandler(c)
+	h.SetTelemetry(daemonTel)
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+
+	var body bytes.Buffer
+	if err := EncodeRoundRequest(&body, RoundRequest{Round: 1, Params: c.Params(), Jobs: 20, Deadline: 60}); err != nil {
+		t.Fatal(err)
+	}
+	body.WriteByte(0)
+	hr, err := http.Post(ts.URL+"/v1/round", ContentTypeBinary, &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr.Body.Close()
+	if hr.StatusCode != http.StatusBadRequest {
+		t.Errorf("request with a byte after its frame: status %d, want 400", hr.StatusCode)
+	}
+	if got := errCount(daemonTel, "round", "decode"); got != 1 {
+		t.Errorf("daemon decode error count = %v, want 1", got)
+	}
+
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/info", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, InfoResponse{ClientID: "trailing-stub", TMinPerJob: 0.1, NumExamples: 10})
+	})
+	mux.HandleFunc("POST /v1/round", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", ContentTypeBinary)
+		EncodeRoundResponse(w, RoundResponse{ClientID: "trailing-stub", Params: make([]float64, 4), NumExamples: 10})
+		w.Write([]byte{0})
+	})
+	stub := httptest.NewServer(mux)
+	defer stub.Close()
+	p, err := DialParticipant(stub.URL, 30*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel := obs.New(nil)
+	p.SetSink(tel)
+	if _, err := p.Round(RoundRequest{Round: 1, Jobs: 1, Deadline: 10}); !errors.Is(err, ErrCorruptFrame) {
+		t.Fatalf("answer with a byte after its frame: err = %v, want ErrCorruptFrame", err)
+	}
+	if got := errCount(tel, "round", "decode"); got != 1 {
+		t.Errorf("participant decode error count = %v, want 1", got)
 	}
 }
 
