@@ -16,7 +16,9 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -94,14 +96,25 @@ func run(args []string, out io.Writer) error {
 // round outcomes plus per-client attempt/verdict/energy attribution. With
 // chromePath set the selected events are additionally stitched into a Chrome
 // trace on deterministic virtual-time lanes (one lane per client).
+//
+// A journal whose last line is cut short, as a server killed mid-write
+// leaves it, is summarized up to that line after one warning naming it; a
+// malformed line with more data after it still fails.
 func summarizeLedger(path string, round int, chromePath string, out io.Writer) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
-	events, err := ledger.ReadJSONL(f)
+	lines := &lineCounter{r: f}
+	events, err := ledger.ReadJSONL(lines)
 	f.Close()
-	if err != nil {
+	// The reader hit the end of the journal inside an event. If each complete
+	// event ended its own line and the cut one has no newline, only the last
+	// line is torn; any other newline means a malformed line came first.
+	if errors.Is(err, io.ErrUnexpectedEOF) && lines.n == len(events) {
+		fmt.Fprintf(out, "warning: %s: line %d is cut short; summarizing the %d complete events before it\n",
+			path, len(events)+1, len(events))
+	} else if err != nil {
 		return err
 	}
 	if round > 0 {
@@ -142,6 +155,18 @@ func summarizeLedger(path string, round int, chromePath string, out io.Writer) e
 		fmt.Fprintf(out, "wrote %d trace events to %s\n", len(spans), chromePath)
 	}
 	return nil
+}
+
+// lineCounter counts the newlines read through it.
+type lineCounter struct {
+	r io.Reader
+	n int
+}
+
+func (c *lineCounter) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += bytes.Count(p[:n], []byte{'\n'})
+	return n, err
 }
 
 // stitchLedger reconstructs a viewable trace from ledger events. The ledger

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"bofl/internal/device"
+	"bofl/internal/obs/ledger"
 )
 
 func TestRunProfileText(t *testing.T) {
@@ -51,5 +52,51 @@ func TestRunProfileErrors(t *testing.T) {
 	}
 	if err := run([]string{"-workload", "nope"}, &buf); err == nil {
 		t.Error("unknown workload accepted")
+	}
+}
+
+// TestSummarizeTornLedger: a journal cut inside its last line, as a server
+// killed mid-write leaves it, is summarized from its complete events after
+// one warning naming the cut line; a malformed line with data after it still
+// fails the summary.
+func TestSummarizeTornLedger(t *testing.T) {
+	var journal bytes.Buffer
+	err := ledger.WriteJSONL(&journal, []ledger.Event{
+		{Seq: 1, Kind: ledger.KindRoundBegin, Round: 1, Deadline: 2.5, Selected: 1},
+		{Seq: 2, Kind: ledger.KindAttempt, Round: 1, Client: "edge-0", Verdict: ledger.VerdictOK, EnergyJoules: 12.5},
+		{Seq: 3, Kind: ledger.KindCommit, Round: 1, Survivors: 1},
+		{Seq: 4, Kind: ledger.KindAttempt, Round: 2, Client: "edge-0", Verdict: ledger.VerdictOK, EnergyJoules: 7},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := journal.Bytes()
+	last := bytes.LastIndexByte(full[:len(full)-1], '\n') + 1
+	dir := t.TempDir()
+	for _, cut := range []int{last + 1, last + 2, (last + len(full)) / 2, len(full) - 3} {
+		path := filepath.Join(dir, "torn.jsonl")
+		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := run([]string{"-ledger", path}, &buf); err != nil {
+			t.Fatalf("journal cut at byte %d of %d: %v", cut, len(full), err)
+		}
+		out := buf.String()
+		if strings.Count(out, "warning:") != 1 || !strings.Contains(out, "line 4 is cut short") {
+			t.Errorf("journal cut at byte %d: want one warning naming line 4, got:\n%s", cut, out)
+		}
+		if !strings.Contains(out, ": 3 events, 1 rounds") {
+			t.Errorf("journal cut at byte %d: want the three complete events summarized, got:\n%s", cut, out)
+		}
+	}
+
+	malformed := append(append(bytes.Clone(full[:last]), `{"seq":4,"kind":`+"\n"...), full[last:]...)
+	path := filepath.Join(dir, "malformed.jsonl")
+	if err := os.WriteFile(path, malformed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-ledger", path}, new(bytes.Buffer)); err == nil {
+		t.Error("a malformed line followed by data was summarized")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sort"
 	"sync"
 	"time"
 )
@@ -86,13 +87,20 @@ func (r *Registry) Drop(clientID string) {
 	delete(r.participant, clientID)
 }
 
-// Participants returns the current pool.
+// Participants returns the current pool sorted by client ID, so a server
+// that registers it, and a selector that samples from it, see one order
+// whatever the order of the check-ins.
 func (r *Registry) Participants() []Participant {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Participant, 0, len(r.participant))
-	for _, p := range r.participant {
-		out = append(out, p)
+	ids := make([]string, 0, len(r.participant))
+	for id := range r.participant {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	out := make([]Participant, len(ids))
+	for i, id := range ids {
+		out[i] = r.participant[id]
 	}
 	return out
 }

@@ -3,9 +3,11 @@ package fl
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -306,4 +308,125 @@ func TestCheckinHandlerStatus(t *testing.T) {
 	if want := []string{"http://ok"}; !slices.Equal(dialed, want) {
 		t.Errorf("dialed back %v, want %v", dialed, want)
 	}
+}
+
+// TestCheckinRefusesHostileTMin: a daemon that advertises a per-job T_min
+// that is not positive or above an hour per minibatch is refused at
+// dial-back. Registered, 1e308 s per job would make every round deadline
+// +Inf and every honest participant's round request unencodable.
+func TestCheckinRefusesHostileTMin(t *testing.T) {
+	for _, tmin := range []string{"1e308", "3600.5", "0", "-1"} {
+		info := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			fmt.Fprintf(w, `{"clientId":"hostile","device":"agx","tminPerJobSeconds":%s,"numExamples":10}`, tmin)
+		}))
+		reg := NewRegistry(30 * time.Second)
+		err := reg.CheckIn(CheckinRequest{ClientID: "hostile", BaseURL: info.URL})
+		info.Close()
+		if err == nil || !strings.Contains(err.Error(), "tminPerJobSeconds") {
+			t.Errorf("tminPerJobSeconds %s: check-in err %v, want a refusal naming tminPerJobSeconds", tmin, err)
+		}
+		if reg.Len() != 0 {
+			t.Errorf("tminPerJobSeconds %s registered", tmin)
+		}
+	}
+}
+
+// TestRegistryPoolOrder: the pool reads back sorted by client ID whatever
+// the order of the check-ins, so two servers fed the same clients register,
+// select and journal them alike.
+func TestRegistryPoolOrder(t *testing.T) {
+	ids := []string{"edge-3", "edge-0", "edge-5", "edge-1", "edge-4", "edge-2"}
+	pool := func(order []int) []string {
+		reg := NewRegistry(time.Second)
+		reg.dial = func(ctx context.Context, baseURL string, timeout time.Duration) (Participant, error) {
+			return &reportingParticipant{id: baseURL}, nil
+		}
+		for _, i := range order {
+			if err := reg.CheckIn(CheckinRequest{ClientID: ids[i], BaseURL: ids[i]}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var got []string
+		for call := 0; call < 20; call++ {
+			var read []string
+			for _, p := range reg.Participants() {
+				read = append(read, p.ID())
+			}
+			if call > 0 && !slices.Equal(read, got) {
+				t.Fatalf("pool read back as %v, then as %v", got, read)
+			}
+			got = read
+		}
+		return got
+	}
+	want := slices.Clone(ids)
+	slices.Sort(want)
+	for _, order := range [][]int{{0, 1, 2, 3, 4, 5}, {5, 3, 1, 0, 2, 4}} {
+		if got := pool(order); !slices.Equal(got, want) {
+			t.Errorf("check-ins in order %v: pool %v, want %v", order, got, want)
+		}
+	}
+}
+
+// tminParticipant is a reportingParticipant advertising a fixed per-round
+// T_min that counts the rounds it is sent.
+type tminParticipant struct {
+	reportingParticipant
+	tmin   float64
+	rounds int
+}
+
+func (p *tminParticipant) TMinFor(jobs int) (float64, error) { return p.tmin, nil }
+
+func (p *tminParticipant) Round(req RoundRequest) (RoundResponse, error) {
+	p.rounds++
+	return p.reportingParticipant.Round(req)
+}
+
+// TestRunRoundRejectsNonFiniteTMin: a participant whose T_min is not finite
+// and positive fails the round before any request goes out, with an error
+// naming it, instead of handing every participant a +Inf or NaN deadline.
+func TestRunRoundRejectsNonFiniteTMin(t *testing.T) {
+	for _, tmin := range []float64{math.Inf(1), math.NaN(), 0, -1} {
+		srv, err := NewServer(ServerConfig{InitialParams: []float64{1}, Jobs: 5, DeadlineRatio: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		honest := &tminParticipant{reportingParticipant: reportingParticipant{id: "honest"}, tmin: 1}
+		bad := &tminParticipant{reportingParticipant: reportingParticipant{id: "bad"}, tmin: tmin}
+		srv.Register(honest)
+		srv.Register(bad)
+		_, err = srv.RunRound()
+		if err == nil || !strings.Contains(err.Error(), "bad") {
+			t.Errorf("T_min %v: RunRound err %v, want an error naming the participant", tmin, err)
+		}
+		if honest.rounds+bad.rounds != 0 {
+			t.Errorf("T_min %v: %d round requests went out", tmin, honest.rounds+bad.rounds)
+		}
+	}
+}
+
+// FuzzInfoResponse feeds arbitrary bodies to the /v1/info decoder the
+// check-in dial-back uses: it must never panic, everything it accepts must
+// name a client and carry a per-job T_min in (0, maxTMinPerJob], and an
+// accepted body must re-encode to one that decodes to the same value. The
+// seed corpus is in testdata/fuzz/FuzzInfoResponse.
+func FuzzInfoResponse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		info, err := decodeInfo(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		if info.ClientID == "" || !(info.TMinPerJob > 0 && info.TMinPerJob <= maxTMinPerJob) {
+			t.Fatalf("decodeInfo accepted %+v", info)
+		}
+		enc, err := json.Marshal(info)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := decodeInfo(bytes.NewReader(enc))
+		if err != nil || again != info {
+			t.Fatalf("re-decoding %s: %+v, %v; want %+v", enc, again, err, info)
+		}
+	})
 }

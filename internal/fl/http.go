@@ -65,6 +65,29 @@ var flTransport = &http.Transport{
 	IdleConnTimeout:     90 * time.Second,
 }
 
+// maxTMinPerJob bounds the per-minibatch T_min a daemon may advertise: one
+// hour, far beyond any device modelled here. The server scales the slowest
+// selected T_min into the round deadline, so a larger or non-finite value
+// would make that deadline +Inf and every participant's round request
+// unencodable.
+const maxTMinPerJob = 3600.0
+
+// decodeInfo reads a daemon's /v1/info body through the control-plane cap and
+// validates it: a client ID and a per-job T_min in (0, maxTMinPerJob].
+func decodeInfo(body io.Reader) (InfoResponse, error) {
+	var info InfoResponse
+	if err := json.NewDecoder(http.MaxBytesReader(nil, io.NopCloser(body), maxControlBody)).Decode(&info); err != nil {
+		return InfoResponse{}, err
+	}
+	if info.ClientID == "" {
+		return InfoResponse{}, fmt.Errorf("malformed info %+v: no clientId", info)
+	}
+	if !(info.TMinPerJob > 0 && info.TMinPerJob <= maxTMinPerJob) {
+		return InfoResponse{}, fmt.Errorf("malformed info %+v: tminPerJobSeconds outside (0, %g]", info, maxTMinPerJob)
+	}
+	return info, nil
+}
+
 // maxRoundBody caps a /v1/round body in either direction.
 const maxRoundBody = 64 << 20
 
@@ -299,12 +322,9 @@ func dialParticipant(ctx context.Context, baseURL string, timeout time.Duration)
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("fl: dial %s: status %s", baseURL, resp.Status)
 	}
-	var info InfoResponse
-	if err := json.NewDecoder(http.MaxBytesReader(nil, resp.Body, maxControlBody)).Decode(&info); err != nil {
+	info, err := decodeInfo(resp.Body)
+	if err != nil {
 		return nil, fmt.Errorf("fl: dial %s: %w", baseURL, err)
-	}
-	if info.ClientID == "" || info.TMinPerJob <= 0 {
-		return nil, fmt.Errorf("fl: dial %s: malformed info %+v", baseURL, info)
 	}
 	return &HTTPParticipant{
 		baseURL: baseURL,

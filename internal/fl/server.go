@@ -451,6 +451,9 @@ func (s *Server) RunRound() (RoundResult, error) {
 	tmin := 0.0
 	for _, p := range selected {
 		t, err := p.TMinFor(s.cfg.Jobs)
+		if err == nil && (!(t > 0) || math.IsInf(t, 1)) {
+			err = fmt.Errorf("%v is not finite and positive", t)
+		}
 		if err != nil {
 			endConfigure()
 			return RoundResult{}, fmt.Errorf("fl: tmin of %s: %w", p.ID(), err)

@@ -156,9 +156,7 @@ func accumulateStep(a accumulator, batch []Example, lr float64) (float64, error)
 		return 0, err
 	}
 	inv := 1 / float64(len(batch))
-	for i, g := range *gp {
-		p[i] -= lr * (g * inv)
-	}
+	sgd(p, *gp, lr, inv)
 	return total * inv, nil
 }
 

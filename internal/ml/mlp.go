@@ -120,11 +120,20 @@ func (m *MLP) Gradients(batch []Example) ([]float64, float64, error) {
 // blockWidth is the number of examples one kernel block carries.
 const blockWidth = 4
 
-// actPool holds the kernel's activation scratch: per block slot, the hidden
-// activations, the logits (overwritten by their gradient) and the hidden
-// gradient. It is pooled rather than kept on the model, so a model between
-// steps holds no scratch.
+// actPool holds the kernel's activation scratch (a blockScratch's slab). It
+// is pooled rather than kept on the model, so a model between steps holds no
+// scratch.
 var actPool = sync.Pool{New: func() any { return new([]float64) }}
+
+// blockScratch is block4's working memory for one block of four examples,
+// carved from one pooled slab, in the lanes and rows layouts of kernel.go.
+type blockScratch struct {
+	xt, xs []float64 // inputs: lanes, rows
+	ht, hs []float64 // hidden activations: lanes, rows
+	lt     []float64 // logits: lanes
+	ls     []float64 // logits, then ∂loss/∂logits: rows
+	ds     []float64 // ∂loss/∂h, then ∂loss/∂(W1·x + b1): rows
+}
 
 // accumulate validates the batch, adds its summed gradient into grads (zero
 // on entry, one element per parameter) and returns its summed loss.
@@ -135,113 +144,87 @@ var actPool = sync.Pool{New: func() any { return new([]float64) }}
 // accumulate in example order, and each update keeps the per-example form
 // acc += a*b. The sums and the gradient are therefore bit-identical to one
 // example at a time; blocking only loads each weight and gradient element
-// once per block instead of once per example, and interleaves four
-// independent dependency chains in the forward sums.
+// once per block instead of once per example, and gives the kernels four
+// independent sums to run side by side.
 func (m *MLP) accumulate(batch []Example, grads []float64) (float64, error) {
 	if err := m.check(batch); err != nil {
 		return 0, err
 	}
-	nh, no := m.hidden, m.out
-	sp := getSlab(&actPool, blockWidth*(2*nh+no))
+	ni, nh, no := blockWidth*m.in, blockWidth*m.hidden, blockWidth*m.out
+	sp := getSlab(&actPool, 2*ni+3*nh+2*no)
 	defer actPool.Put(sp)
 	act := *sp
-	hid, lg, dh := act[:blockWidth*nh], act[blockWidth*nh:blockWidth*(nh+no)], act[blockWidth*(nh+no):]
+	s := blockScratch{
+		xt: act[:ni], xs: act[ni : 2*ni],
+		ht: act[2*ni : 2*ni+nh], hs: act[2*ni+nh : 2*ni+2*nh], ds: act[2*ni+2*nh : 2*ni+3*nh],
+		lt: act[2*ni+3*nh : 2*ni+3*nh+no], ls: act[2*ni+3*nh+no:],
+	}
 	total := 0.0
 	i := 0
 	for ; i+blockWidth <= len(batch); i += blockWidth {
-		total = m.block4(batch[i:i+blockWidth], grads, hid, lg, dh, total)
+		total = m.block4(batch[i:i+blockWidth], grads, &s, total)
 	}
 	for ; i < len(batch); i++ {
-		total = m.block1(batch[i], grads, hid[:nh], lg[:no], dh[:nh], total)
+		total = m.block1(batch[i], grads, s.hs[:m.hidden], s.ls[:m.out], s.ds[:m.hidden], total)
 	}
 	return total, nil
 }
 
-// block4 adds four examples' gradients into grads and their losses to total,
-// using hid, lg and dh (four rows each) as scratch.
-func (m *MLP) block4(b []Example, grads, hid, lg, dh []float64, total float64) float64 {
-	nh, no := m.hidden, m.out
+// block4 adds four examples' gradients into grads and their losses to total.
+func (m *MLP) block4(b []Example, grads []float64, s *blockScratch, total float64) float64 {
+	ni, nh, no := m.in, m.hidden, m.out
 	w1, b1, w2, b2 := m.slices(m.params)
 	gw1, gb1, gw2, gb2 := m.slices(grads)
-	x0, x1, x2, x3 := b[0].Features, b[1].Features, b[2].Features, b[3].Features
-	h0, h1, h2, h3 := hid[:nh], hid[nh:2*nh], hid[2*nh:3*nh], hid[3*nh:4*nh]
-	l0, l1, l2, l3 := lg[:no], lg[no:2*no], lg[2*no:3*no], lg[3*no:4*no]
-	d0, d1, d2, d3 := dh[:nh], dh[nh:2*nh], dh[2*nh:3*nh], dh[3*nh:4*nh]
+	b = b[:blockWidth]
+	for l, ex := range b {
+		x := ex.Features[:ni]
+		copy(s.xs[l*ni:(l+1)*ni], x)
+		for i, v := range x {
+			s.xt[4*i+l] = v
+		}
+	}
 
 	// Forward: h = tanh(W1·x + b1), logits = W2·h + b2.
-	for h := range h0 {
-		row := w1[h*m.in : (h+1)*m.in]
-		x0, x1, x2, x3 := x0[:len(row)], x1[:len(row)], x2[:len(row)], x3[:len(row)]
-		s0, s1, s2, s3 := b1[h], b1[h], b1[h], b1[h]
-		for i, w := range row {
-			s0 += w * x0[i]
-			s1 += w * x1[i]
-			s2 += w * x2[i]
-			s3 += w * x3[i]
+	dense4(w1, b1, s.xt, s.ht)
+	for h := 0; h < nh; h++ {
+		for l := 0; l < blockWidth; l++ {
+			v := math.Tanh(s.ht[4*h+l])
+			s.ht[4*h+l] = v
+			s.hs[l*nh+h] = v
 		}
-		h0[h], h1[h], h2[h], h3[h] = math.Tanh(s0), math.Tanh(s1), math.Tanh(s2), math.Tanh(s3)
 	}
-	for o := range l0 {
-		row := w2[o*nh : (o+1)*nh]
-		h0, h1, h2, h3 := h0[:len(row)], h1[:len(row)], h2[:len(row)], h3[:len(row)]
-		s0, s1, s2, s3 := b2[o], b2[o], b2[o], b2[o]
-		for h, w := range row {
-			s0 += w * h0[h]
-			s1 += w * h1[h]
-			s2 += w * h2[h]
-			s3 += w * h3[h]
+	dense4(w2, b2, s.ht, s.lt)
+	for o := 0; o < no; o++ {
+		for l := 0; l < blockWidth; l++ {
+			s.ls[l*no+o] = s.lt[4*o+l]
 		}
-		l0[o], l1[o], l2[o], l3[o] = s0, s1, s2, s3
 	}
-	total += softmaxCrossEntropy(l0, b[0].Label, l0)
-	total += softmaxCrossEntropy(l1, b[1].Label, l1)
-	total += softmaxCrossEntropy(l2, b[2].Label, l2)
-	total += softmaxCrossEntropy(l3, b[3].Label, l3)
+	for l, ex := range b {
+		e := s.ls[l*no : (l+1)*no]
+		total += softmaxCrossEntropy(e, ex.Label, e)
+	}
 
 	// Backward through W2 and b2, collecting ∂loss/∂h.
-	clear(dh)
-	for o := range l0 {
-		row := w2[o*nh : (o+1)*nh]
-		grow := gw2[o*nh : (o+1)*nh]
-		h0, h1, h2, h3 := h0[:len(row)], h1[:len(row)], h2[:len(row)], h3[:len(row)]
-		d0, d1, d2, d3 := d0[:len(row)], d1[:len(row)], d2[:len(row)], d3[:len(row)]
-		e0, e1, e2, e3 := l0[o], l1[o], l2[o], l3[o]
-		for h, w := range row {
-			g := grow[h]
-			g += e0 * h0[h]
-			g += e1 * h1[h]
-			g += e2 * h2[h]
-			g += e3 * h3[h]
-			grow[h] = g
-			d0[h] += e0 * w
-			d1[h] += e1 * w
-			d2[h] += e2 * w
-			d3[h] += e3 * w
-		}
-		gb2[o] += e0
-		gb2[o] += e1
-		gb2[o] += e2
-		gb2[o] += e3
+	clear(s.ds)
+	backOut4(gw2, w2, s.ls, s.hs, s.ds)
+	e0, e1, e2, e3 := s.ls[:no], s.ls[no:2*no], s.ls[2*no:3*no], s.ls[3*no:4*no]
+	for o := range gb2 {
+		gb2[o] += e0[o]
+		gb2[o] += e1[o]
+		gb2[o] += e2[o]
+		gb2[o] += e3[o]
 	}
 	// Backward through tanh (d tanh = 1 − tanh²), W1 and b1.
-	for h := range h0 {
-		p0 := d0[h] * (1 - h0[h]*h0[h])
-		p1 := d1[h] * (1 - h1[h]*h1[h])
-		p2 := d2[h] * (1 - h2[h]*h2[h])
-		p3 := d3[h] * (1 - h3[h]*h3[h])
-		grow := gw1[h*m.in : (h+1)*m.in]
-		x0, x1, x2, x3 := x0[:len(grow)], x1[:len(grow)], x2[:len(grow)], x3[:len(grow)]
-		for i, g := range grow {
-			g += p0 * x0[i]
-			g += p1 * x1[i]
-			g += p2 * x2[i]
-			g += p3 * x3[i]
-			grow[i] = g
-		}
-		gb1[h] += p0
-		gb1[h] += p1
-		gb1[h] += p2
-		gb1[h] += p3
+	for j, hv := range s.hs {
+		s.ds[j] *= 1 - hv*hv
+	}
+	outer4(gw1, s.ds, s.xs)
+	p0, p1, p2, p3 := s.ds[:nh], s.ds[nh:2*nh], s.ds[2*nh:3*nh], s.ds[3*nh:4*nh]
+	for h := range gb1 {
+		gb1[h] += p0[h]
+		gb1[h] += p1[h]
+		gb1[h] += p2[h]
+		gb1[h] += p3[h]
 	}
 	return total
 }

@@ -67,56 +67,78 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 	}
 }
 
+// kernelLegs runs fn as a subtest on the Go kernel bodies and, where the CPU
+// has AVX2, again on the assembly kernels, then restores the CPU's choice.
+func kernelLegs(t *testing.T, fn func(t *testing.T)) {
+	d, o, b, s := dense4, outer4, backOut4, sgd
+	restore := func() { dense4, outer4, backOut4, sgd = d, o, b, s }
+	t.Cleanup(restore)
+	t.Run("go", func(t *testing.T) {
+		dense4, outer4, backOut4, sgd = dense4Go, outer4Go, backOut4Go, sgdGo
+		fn(t)
+	})
+	if useAVX2 {
+		t.Run("avx2", func(t *testing.T) {
+			restore()
+			fn(t)
+		})
+	}
+}
+
 // TestMLPKernelMatchesReference trains one replica with TrainStep and its
 // twin with the per-example oracle and SGD, and holds the loss, the gradient
-// and the parameters of every step equal bit for bit. The batch sizes leave
-// every tail length modulo the block width; the shapes are round-http's MLP,
-// the flserver/flclient demo's, an odd one and the smallest.
+// and the parameters of every step equal bit for bit, on the Go kernels and
+// on the AVX2 ones. The batch sizes leave every tail length modulo the block
+// width; the shapes are round-http's MLP, the flserver/flclient demo's, the
+// smallest, and odd ones whose in, hidden and out dimensions between them
+// leave every remainder modulo the vector width.
 func TestMLPKernelMatchesReference(t *testing.T) {
 	const steps, lr = 6, 0.05
-	shapes := [][3]int{{32, 256, 32}, {8, 16, 4}, {6, 7, 4}, {1, 1, 2}}
+	shapes := [][3]int{{32, 256, 32}, {8, 16, 4}, {6, 7, 4}, {1, 1, 2}, {5, 6, 7}, {7, 9, 5}}
 	for _, sh := range shapes {
 		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 17} {
 			t.Run(fmt.Sprintf("%dx%dx%d/batch%d", sh[0], sh[1], sh[2], n), func(t *testing.T) {
-				seed := int64(sh[0]*1000 + sh[1]*10 + n)
-				fast, err := NewMLP(sh[0], sh[1], sh[2], seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ref, err := NewMLP(sh[0], sh[1], sh[2], seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				data, err := Blobs(steps*n, sh[0], sh[2], 1.0, seed+1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for s := 0; s < steps; s++ {
-					batch := data[s*n : (s+1)*n]
-					g, loss, err := fast.Gradients(batch)
+				kernelLegs(t, func(t *testing.T) {
+					seed := int64(sh[0]*1000 + sh[1]*10 + n)
+					fast, err := NewMLP(sh[0], sh[1], sh[2], seed)
 					if err != nil {
 						t.Fatal(err)
 					}
-					rg, rloss, err := ref.referenceGradients(batch)
+					ref, err := NewMLP(sh[0], sh[1], sh[2], seed)
 					if err != nil {
 						t.Fatal(err)
 					}
-					sameBits(t, fmt.Sprintf("step %d Gradients", s), g, rg)
-					sameBits(t, fmt.Sprintf("step %d Gradients loss", s), []float64{loss}, []float64{rloss})
+					data, err := Blobs(steps*n, sh[0], sh[2], 1.0, seed+1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for s := 0; s < steps; s++ {
+						batch := data[s*n : (s+1)*n]
+						g, loss, err := fast.Gradients(batch)
+						if err != nil {
+							t.Fatal(err)
+						}
+						rg, rloss, err := ref.referenceGradients(batch)
+						if err != nil {
+							t.Fatal(err)
+						}
+						sameBits(t, fmt.Sprintf("step %d Gradients", s), g, rg)
+						sameBits(t, fmt.Sprintf("step %d Gradients loss", s), []float64{loss}, []float64{rloss})
 
-					stepLoss, err := TrainStep(fast, batch, lr)
-					if err != nil {
-						t.Fatal(err)
+						stepLoss, err := TrainStep(fast, batch, lr)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := SGD(ref, rg, lr); err != nil {
+							t.Fatal(err)
+						}
+						sameBits(t, fmt.Sprintf("step %d TrainStep loss", s), []float64{stepLoss}, []float64{rloss})
+						sameBits(t, fmt.Sprintf("step %d params", s), fast.Params(), ref.Params())
+						// The step's pooled scratch must not be the slice
+						// Gradients handed out.
+						sameBits(t, fmt.Sprintf("step %d Gradients after TrainStep", s), g, rg)
 					}
-					if err := SGD(ref, rg, lr); err != nil {
-						t.Fatal(err)
-					}
-					sameBits(t, fmt.Sprintf("step %d TrainStep loss", s), []float64{stepLoss}, []float64{rloss})
-					sameBits(t, fmt.Sprintf("step %d params", s), fast.Params(), ref.Params())
-					// The step's pooled scratch must not be the slice
-					// Gradients handed out.
-					sameBits(t, fmt.Sprintf("step %d Gradients after TrainStep", s), g, rg)
-				}
+				})
 			})
 		}
 	}
